@@ -1,11 +1,11 @@
 """Persistence-order analysis: trace analyzer + protocol linter.
 
-- ``repro.analysis.analyzer`` — the dynamic engine: an event tap on
-  :class:`~repro.nvm.device.NvmDevice` that checks the MGSP ordering
+- ``repro.analysis.analyzer`` — the dynamic engine: an observer of
+  :class:`~repro.nvm.device.NvmDevice` events that checks the MGSP ordering
   protocol over the live store/flush/fence stream.
 - ``repro.analysis.lint`` — the static engine: AST rules over
   ``src/repro`` (``python -m repro.analysis.lint``).
-- ``repro.analysis.harness`` — attach the tap to a mounted fs, replay
+- ``repro.analysis.harness`` — attach the analyzer to a mounted fs, replay
   crash-sweep workloads, execute violation-corpus programs.
 - ``python -m repro.analysis`` — the CLI; see ``--help``.
 """
@@ -14,7 +14,6 @@ from repro.analysis.analyzer import (
     ERROR,
     PERF,
     RULES,
-    AnalysisRecorder,
     Finding,
     RegionMap,
     TraceAnalyzer,
@@ -36,7 +35,6 @@ __all__ = [
     "ERROR",
     "PERF",
     "RULES",
-    "AnalysisRecorder",
     "AnalysisReport",
     "Finding",
     "ProgramCtx",

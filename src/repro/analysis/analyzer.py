@@ -1,13 +1,13 @@
 """Persistence-order trace analyzer (the dynamic half of ``repro.analysis``).
 
 WITCHER-style: instead of *executing* crash states like the PR-3 sweep,
-the analyzer observes the live store/flush/fence stream through the
-device's ``analysis_tap`` and checks the MGSP ordering protocol as an
+the analyzer observes the live store/flush/fence stream as one of the
+device's ``observers`` and checks the MGSP ordering protocol as an
 invariant over that stream. Event indices count exactly like the crash
 sweep's enumeration (one event per store / clwb call / fence, per
 element inside the vectorized ``_v`` entry points), so every finding can
 name the ``--at`` index a ``repro.crashsweep`` reproducer would crash
-at.
+at. The indices are the device's own ``event_index``.
 
 Rules
 -----
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.fsapi.layout import VolumeLayout
+from repro.nvm.device import DeviceObserver
 from repro.util import CACHE_LINE
 
 ERROR = "error"
@@ -119,21 +120,21 @@ _DIRTY = 0  # stored, not flushed
 _PENDING = 1  # flushed (or nt-stored), not fenced
 
 
-class TraceAnalyzer:
-    """The ``analysis_tap`` observer: mirrors line state at cache-line
-    granularity and checks the ordering rules online.
+class TraceAnalyzer(DeviceObserver):
+    """A device observer: mirrors line state at cache-line granularity
+    and checks the ordering rules online.
 
-    Attach with :func:`repro.analysis.harness.attach_analyzer` (or set
-    ``device.analysis_tap`` by hand and feed op boundaries through
-    :class:`AnalysisRecorder`). ``on_drain`` resets both line state and
-    the event counter — aligned with the sweep's drain-then-arm
-    sequence, so reported indices match ``--at`` reproducer indices.
+    Attach with :func:`repro.analysis.harness.attach_analyzer` (or
+    append it to ``device.observers`` by hand and bracket ops through
+    :meth:`on_op_begin`/:meth:`on_op_end`). Findings carry the device's
+    event index, which the sweep's drain-then-arm sequence aligns with
+    ``--at`` reproducer indices; ``on_drain`` resets the line state.
     """
 
     def __init__(
         self,
         regions: RegionMap,
-        device=None,
+        device,
         async_writeback: bool = False,
         perf: bool = True,
         max_events: Optional[int] = None,
@@ -144,7 +145,6 @@ class TraceAnalyzer:
         self.perf = perf
         self.max_events = max_events
         self.findings: List[Finding] = []
-        self.event_index = 0
         self.saturated = False  # hit max_events; stopped analyzing
         self._lines: Dict[int, list] = {}  # line -> [state, store_idx, commit]
         self._op: Optional[str] = None
@@ -161,19 +161,8 @@ class TraceAnalyzer:
         return [f for f in self.findings if f.severity == PERF]
 
     def _crashed(self) -> bool:
-        plan = getattr(self.device, "crash_plan", None)
+        plan = self.device.crash_plan
         return plan is not None and plan.fired
-
-    def _next_index(self) -> Optional[int]:
-        """Consume one event index; None once past the analysis budget."""
-        idx = self.event_index
-        self.event_index += 1
-        if self.max_events is not None and idx >= self.max_events:
-            if not self.saturated:
-                self.saturated = True
-                self._lines.clear()
-            return None
-        return idx
 
     def _report(self, rule: str, idx: int, message: str) -> None:
         severity = RULES[rule][0]
@@ -183,12 +172,22 @@ class TraceAnalyzer:
             Finding(rule=rule, severity=severity, event_index=idx, message=message, op=self._op)
         )
 
-    # -- device tap --------------------------------------------------------
+    # -- device events -----------------------------------------------------
 
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        idx = self._next_index()
-        if idx is None:
+    def on_event(self, index: int, kind: str, offset: int, length: int, detail) -> None:
+        if self.max_events is not None and index >= self.max_events:
+            if not self.saturated:
+                self.saturated = True
+                self._lines.clear()
             return
+        if kind == "store":
+            self._store(index, offset, length, detail)
+        elif kind == "flush":
+            self._flush(index, offset, length, detail)
+        else:
+            self._fence(index)
+
+    def _store(self, idx: int, offset: int, length: int, kind: str) -> None:
         region = self.regions.classify(offset)
         if kind == "store" and length > 8 and region in _TORN_REGIONS:
             self._report(
@@ -204,10 +203,7 @@ class TraceAnalyzer:
         for line in range(offset // CACHE_LINE, (offset + length - 1) // CACHE_LINE + 1):
             lines[line] = [state, idx, is_commit]
 
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
+    def _flush(self, idx: int, offset: int, length: int, nlines: int) -> None:
         if nlines == 0:
             self._report(
                 "redundant-flush",
@@ -220,10 +216,7 @@ class TraceAnalyzer:
             if st is not None and st[0] == _DIRTY:
                 st[0] = _PENDING
 
-    def on_fence(self) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
+    def _fence(self, idx: int) -> None:
         lines = self._lines
         pending = [(line, st) for line, st in lines.items() if st[0] == _PENDING]
         if not pending:
@@ -254,10 +247,9 @@ class TraceAnalyzer:
     def on_drain(self) -> None:
         self._lines.clear()
         self._boundary_reported.clear()
-        self.event_index = 0
         self.saturated = False
 
-    # -- op boundaries (fed by AnalysisRecorder) ---------------------------
+    # -- op boundaries (fed by ObservedRecorder) ---------------------------
 
     def on_op_begin(self, name: str) -> None:
         self._op = name
@@ -287,79 +279,7 @@ class TraceAnalyzer:
             more = f" (+{len(offsets) - 4} more)" if len(offsets) > 4 else ""
             self._report(
                 "unfenced-at-boundary",
-                self.event_index,
+                self.device.event_index,
                 f"op {name!r} returned with {len(fresh)} dirty line(s) at "
                 f"offset(s) {shown}{more} and async write-back is off",
             )
-
-
-class AnalysisRecorder:
-    """Wrap any :class:`repro.sim.trace.Recorder` and feed op boundaries
-    to the analyzer; everything else forwards to the wrapped recorder.
-
-    Both ``TraceRecorder`` and ``NullRecorder`` satisfy the formal
-    ``Recorder`` protocol, so no isinstance checks are needed — the
-    wrapper is itself a conforming ``Recorder``.
-    """
-
-    def __init__(self, inner, analyzer: TraceAnalyzer) -> None:
-        self.inner = inner
-        self.analyzer = analyzer
-
-    @property
-    def timing(self):
-        return self.inner.timing
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.inner.enabled = value
-
-    @property
-    def clock_ns(self) -> float:
-        return self.inner.clock_ns
-
-    # -- op lifecycle ------------------------------------------------------
-
-    def begin_op(self, name: str) -> None:
-        self.analyzer.on_op_begin(name)
-        self.inner.begin_op(name)
-
-    def end_op(self):
-        trace = self.inner.end_op()
-        self.analyzer.on_op_end(trace.name)
-        return trace
-
-    def take_completed(self):
-        return self.inner.take_completed()
-
-    # -- explicit costs ----------------------------------------------------
-
-    def compute(self, ns: float) -> None:
-        self.inner.compute(ns)
-
-    def lock(self, key, mode) -> None:
-        self.inner.lock(key, mode)
-
-    def unlock(self, key) -> None:
-        self.inner.unlock(key)
-
-    # -- device tracer interface -------------------------------------------
-
-    def io_write(self, nbytes: int) -> None:
-        self.inner.io_write(nbytes)
-
-    def io_cached(self, nbytes: int) -> None:
-        self.inner.io_cached(nbytes)
-
-    def io_read(self, nbytes: int) -> None:
-        self.inner.io_read(nbytes)
-
-    def io_flush(self, nlines: int) -> None:
-        self.inner.io_flush(nlines)
-
-    def io_fence(self) -> None:
-        self.inner.io_fence()

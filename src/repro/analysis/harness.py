@@ -3,9 +3,10 @@
 Two entry paths:
 
 - :func:`run_workload` replays a deterministic ``repro.crashsweep``
-  workload with the tap attached and returns an :class:`AnalysisReport`
-  whose event indices line up with the sweep's crash-point enumeration
-  (verified against :func:`repro.nvm.crash.count_events` parity).
+  workload with the analyzer attached and returns an
+  :class:`AnalysisReport` whose event indices are the device's, which
+  line up with the sweep's crash-point enumeration (verified against
+  :func:`repro.nvm.crash.count_events` parity).
 - :func:`run_program` executes one violation-corpus program (a ``.py``
   file with a ``run(ctx)`` function and an ``EXPECT`` rule list) against
   a bare device — the self-test substrate under ``tests/analysis_corpus``.
@@ -18,9 +19,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.analyzer import AnalysisRecorder, Finding, RegionMap, TraceAnalyzer
+from repro.analysis.analyzer import Finding, RegionMap, TraceAnalyzer
 from repro.nvm.crash import count_events
 from repro.nvm.device import NvmDevice
+from repro.sim.trace import attach_observer
 
 #: CLI-friendly aliases -> registry names
 WORKLOAD_ALIASES: Dict[str, str] = {
@@ -45,9 +47,9 @@ def resolve_config(name: str) -> str:
 def attach_analyzer(
     fs, perf: bool = True, max_events: Optional[int] = None
 ) -> TraceAnalyzer:
-    """Instrument a mounted filesystem: tap the device and wrap the
-    recorder so op boundaries reach the analyzer. Returns the analyzer
-    (its ``findings`` accumulate for the life of the mount)."""
+    """Instrument a mounted filesystem with an analyzer (see
+    :func:`repro.sim.trace.attach_observer`). Returns the analyzer (its
+    ``findings`` accumulate for the life of the mount)."""
     analyzer = TraceAnalyzer(
         regions=RegionMap.from_layout(fs.volume.layout),
         device=fs.device,
@@ -55,9 +57,7 @@ def attach_analyzer(
         perf=perf,
         max_events=max_events,
     )
-    fs.device.analysis_tap = analyzer
-    fs.recorder = AnalysisRecorder(fs.recorder, analyzer)
-    return analyzer
+    return attach_observer(fs, analyzer)
 
 
 @dataclass
@@ -68,7 +68,7 @@ class AnalysisReport:
     config_name: str
     findings: List[Finding]
     events: int  # persistence events analyzed (crash-point count)
-    parity_ok: bool  # tap event count == DeviceStats-derived count
+    parity_ok: bool  # device event index == DeviceStats-derived count
     saturated: bool = False  # analysis stopped at --budget
     seed: int = 0
 
@@ -118,7 +118,7 @@ def run_workload(
     max_events: Optional[int] = None,
     seed: int = 0,
 ) -> AnalysisReport:
-    """Replay one crash-sweep workload to completion under the tap."""
+    """Replay one crash-sweep workload to completion under the analyzer."""
     from repro.crashsweep.workloads import get_workload
 
     wname = resolve_workload(workload)
@@ -131,13 +131,14 @@ def run_workload(
 
     outcome = wl.run(cname, instrument=instrument)
     analyzer: TraceAnalyzer = holder["analyzer"]
-    derived = count_events(outcome.fs.device, since=outcome.stats_base)
+    device = outcome.fs.device
+    derived = count_events(device, since=outcome.stats_base)
     return AnalysisReport(
         workload=wname,
         config_name=cname,
         findings=list(analyzer.findings),
-        events=analyzer.event_index,
-        parity_ok=analyzer.event_index == derived,
+        events=device.event_index,
+        parity_ok=device.event_index == derived,
         saturated=analyzer.saturated,
         seed=seed,
     )
@@ -180,7 +181,7 @@ def program_context(device_size: int = PROGRAM_DEVICE_SIZE) -> ProgramCtx:
     device = NvmDevice(device_size)
     regions = RegionMap.for_device(device_size)
     analyzer = TraceAnalyzer(regions, device=device, async_writeback=False)
-    device.analysis_tap = analyzer
+    device.observers.append(analyzer)
     return ProgramCtx(device=device, regions=regions, analyzer=analyzer)
 
 

@@ -6,7 +6,9 @@ event but never fires — so the run takes exactly the device code paths
 an armed run takes (some vectorized entry points specialize on
 ``crash_plan is None``). Two independent tallies must agree:
 
-- ``events``: what the plan's ``on_event`` hook saw (ground truth);
+- ``events``: the device's ``event_index`` at the end of the run — the
+  index every device observer reports, restarted by the post-setup
+  drain the plan is armed after;
 - ``derived``: :func:`~repro.nvm.crash.count_events` over the
   ``DeviceStats`` delta since the plan was armed.
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import List
 
 from repro.nvm.crash import count_events, counting_plan
 
@@ -38,20 +40,17 @@ class Census:
         return self.events == self.derived
 
 
-def take_census(
-    workload: SweepWorkload, config_name: str, kinds: Optional[Set[str]] = None
-) -> Census:
+def take_census(workload: SweepWorkload, config_name: str) -> Census:
     """Run *workload* to completion and count its crash points."""
-    plan = counting_plan(kinds)
-    outcome = workload.run(config_name, plan)
+    outcome = workload.run(config_name, counting_plan())
     if outcome.crashed:  # pragma: no cover - counting plans cannot fire
         raise RuntimeError("census plan fired")
-    derived = count_events(outcome.fs.device, kinds, since=outcome.stats_base)
+    device = outcome.fs.device
     return Census(
         workload=workload.name,
         config_name=config_name,
-        events=plan.count,
-        derived=derived,
+        events=device.event_index,
+        derived=count_events(device, since=outcome.stats_base),
     )
 
 

@@ -109,7 +109,7 @@ class RawSystem:
     """Bare-device stand-in for a mounted file system: gives raw-NVM
     subjects (the persistent queue, planted-bug protocols) the same
     ``device`` / ``recorder`` / ``op()`` surface the sweep and the
-    analysis tap expect from a :class:`~repro.fsapi.interface.FileSystem`.
+    device observers expect from a :class:`~repro.fsapi.interface.FileSystem`.
     """
 
     def __init__(self, device_size: int = DEVICE_SIZE) -> None:
@@ -186,7 +186,7 @@ class SweepWorkload:
     ) -> RunOutcome:
         system = self.make_system(config_name)
         if instrument is not None:
-            # Observer attachment point (e.g. the repro.analysis tap):
+            # Observer attachment point (e.g. the repro.analysis analyzer):
             # runs before setup so the observer sees the whole stream.
             instrument(system)
         state = self.setup(system)

@@ -29,7 +29,7 @@ from repro.errors import FileNotFound, FsError
 from repro.fsapi.interface import FileHandle, FileSystem, OpenFlags
 from repro.fsapi.volume import Inode
 from repro.nvm.allocator import LogAllocator
-from repro.nvm.intervals import IntervalSet
+from repro.nvm.bitmap import RangeBitmap
 from repro.sim.trace import TraceRecorder
 
 BLOCK = 4096
@@ -41,7 +41,7 @@ INDEX_DEPTH = 4  # radix levels walked per block lookup
 class LogEntry:
     log_off: int
     policy: str  # "redo" | "undo"
-    intervals: IntervalSet = field(default_factory=IntervalSet)  # in-block offsets
+    intervals: RangeBitmap = field(default_factory=lambda: RangeBitmap(1))  # in-block offsets
 
 
 class LibnvmmioFile(FileHandle):
@@ -97,7 +97,7 @@ class LibnvmmioFile(FileHandle):
                     entry.intervals.add(in_block, in_block + take)
                 else:  # undo: log old data, update file in place
                     entry = self._entry(idx, "undo")
-                    if not entry.intervals.covers(in_block, in_block + take):
+                    if entry.intervals.count(in_block, in_block + take) != take:
                         old = fs.device.load(self._file_off(idx) + in_block, take)
                         fs.device.nt_store(entry.log_off + in_block, old)
                         entry.intervals.add(in_block, in_block + take)
@@ -137,7 +137,7 @@ class LibnvmmioFile(FileHandle):
                 chunk = bytearray(fs.device.load(base + in_block, take))
                 if entry is not None and entry.policy == "redo":
                     # Overlay the logged (newer) byte ranges.
-                    for s, e in entry.intervals.intersect(in_block, in_block + take):
+                    for s, e in entry.intervals.iter_intersect(in_block, in_block + take):
                         logged = fs.device.load(entry.log_off + s, e - s)
                         chunk[s - in_block : e - in_block] = logged
                         fs.recorder.compute(fs.timing.dram_copy_ns(e - s))

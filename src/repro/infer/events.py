@@ -1,14 +1,12 @@
 """Persistence-event collection for invariant inference.
 
-The collector is a second consumer of the same ``device.analysis_tap``
-observer the :class:`repro.analysis.analyzer.TraceAnalyzer` uses, with
-the same event indexing discipline: every ``on_store`` / ``on_flush`` /
-``on_fence`` callback consumes exactly one index, and ``on_drain``
-resets the counter to zero. Because crashsweep's census counts the same
-three event kinds from the same ``stats_base`` (taken right after the
-post-setup drain), a collected event's ``index`` *is* the crashsweep
-``crash_after`` index — the falsifier can hand it straight to
-``CrashPlan`` and hit the corresponding moment exactly.
+The collector is one of the device's ``observers``, beside the
+:class:`repro.analysis.analyzer.TraceAnalyzer`. Each event it records
+carries the device's own ``event_index``, which counts one index per
+store / clwb call / fence and restarts at the post-setup drain, exactly
+like crashsweep's census. A collected event's ``index`` therefore *is*
+the crashsweep ``crash_after`` index — the falsifier can hand it
+straight to ``CrashPlan`` and hit the corresponding moment exactly.
 
 Unlike the analyzer (which checks rules online and forgets), the
 collector keeps the whole event list, tagged with the region each
@@ -20,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+from repro.nvm.device import DeviceObserver
+from repro.sim.trace import attach_observer
 
 #: event kinds, matching the census accounting exactly
 STORE = "store"
@@ -56,66 +57,36 @@ class Trace:
     saturated: bool
 
 
-class EventCollector:
-    """``analysis_tap`` observer + ``AnalysisRecorder`` analyzer duck
-    type: records every persistence event with region/op context."""
+class EventCollector(DeviceObserver):
+    """Device observer that records every persistence event with its
+    device index and region/op context."""
 
     def __init__(self, regions=None, max_events: Optional[int] = None) -> None:
         self.regions = regions
         self.max_events = max_events
         self.events: List[PersistEvent] = []
-        self.event_index = 0
         self.saturated = False
         self.op: Optional[str] = None
         self.op_seq = -1
 
-    # -- indexing (mirrors TraceAnalyzer._next_index) ----------------------
-
-    def _next_index(self) -> Optional[int]:
-        idx = self.event_index
-        self.event_index += 1
-        if self.max_events is not None and idx >= self.max_events:
+    def on_event(self, index: int, kind: str, offset: int, length: int, detail) -> None:
+        if self.max_events is not None and index >= self.max_events:
             self.saturated = True
-            return None
-        return idx
-
-    def _region(self, offset: int) -> str:
-        if self.regions is None:
-            return "device"
-        return self.regions.classify(offset)
-
-    # -- device.analysis_tap -----------------------------------------------
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        idx = self._next_index()
-        if idx is None:
             return
+        if kind == FENCE:
+            store_kind, region = "", ""
+        else:
+            store_kind = detail if kind == STORE else ""
+            region = "device" if self.regions is None else self.regions.classify(offset)
         self.events.append(
-            PersistEvent(idx, STORE, offset, length, kind, self._region(offset), self.op, self.op_seq)
+            PersistEvent(index, kind, offset, length, store_kind, region, self.op, self.op_seq)
         )
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
-        self.events.append(
-            PersistEvent(idx, FLUSH, offset, length, "", self._region(offset), self.op, self.op_seq)
-        )
-
-    def on_fence(self) -> None:
-        idx = self._next_index()
-        if idx is None:
-            return
-        self.events.append(PersistEvent(idx, FENCE, 0, 0, "", "", self.op, self.op_seq))
 
     def on_drain(self) -> None:
         """Setup boundary: everything before the drain is pre-history
-        (crashsweep's census starts counting here too)."""
+        (the device index and crashsweep's census restart here too)."""
         self.events.clear()
-        self.event_index = 0
         self.saturated = False
-
-    # -- AnalysisRecorder op hooks -----------------------------------------
 
     def on_op_begin(self, name: str) -> None:
         self.op_seq += 1
@@ -127,15 +98,6 @@ class EventCollector:
 
 def attach_collector(system, regions=None, max_events: Optional[int] = None) -> EventCollector:
     """Instrument a workload system (file system or ``RawSystem``) with a
-    collector; pass as ``SweepWorkload.run(..., instrument=...)`` body.
-
-    Same shape as ``repro.analysis.harness.attach_analyzer``: the tap
-    observes device-level events, an ``AnalysisRecorder`` wrapper feeds
-    op boundaries.
-    """
-    from repro.analysis.analyzer import AnalysisRecorder
-
+    collector; pass as ``SweepWorkload.run(..., instrument=...)`` body."""
     collector = EventCollector(regions=regions, max_events=max_events)
-    system.device.analysis_tap = collector
-    system.recorder = AnalysisRecorder(system.recorder, collector)
-    return collector
+    return attach_observer(system, collector)

@@ -28,7 +28,7 @@ SUBJECTS: Dict[str, Tuple[str, Dict[str, str]]] = {
 
 
 class ParityError(RuntimeError):
-    """Collected event count disagrees with the device's census count —
+    """The device's event index disagrees with its census count —
     the index-parity contract with crashsweep is broken."""
 
 
@@ -50,7 +50,7 @@ def collect_trace(
     workload, workload_name: str, config_name: str, max_events: Optional[int] = None
 ) -> Trace:
     """One passing instrumented run; raises :class:`ParityError` if the
-    collector's index count drifts from the census event count."""
+    device's event index drifts from the census event count."""
     collectors = []
 
     def instrument(system) -> None:
@@ -61,11 +61,12 @@ def collect_trace(
     if outcome.crashed:
         raise RuntimeError(f"{workload_name}: passing run crashed with no plan armed")
     collector = collectors[0]
+    indexed = outcome.fs.device.event_index
     counted = count_events(outcome.fs.device, since=outcome.stats_base)
-    if not collector.saturated and collector.event_index != counted:
+    if indexed != counted:
         raise ParityError(
-            f"{workload_name}/{config_name}: collector indexed "
-            f"{collector.event_index} events, census counted {counted}"
+            f"{workload_name}/{config_name}: device indexed "
+            f"{indexed} events, census counted {counted}"
         )
     return Trace(
         workload=workload_name,

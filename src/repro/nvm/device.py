@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.cache import StoreBuffer
@@ -55,62 +55,40 @@ class DeviceStats:
         )
 
 
-class TapFanout:
-    """Dispatch ``analysis_tap`` callbacks to several observers in order.
+class DeviceObserver:
+    """No-op base for entries of ``NvmDevice.observers``.
 
-    ``device.analysis_tap`` is a single slot; the analyzer, the event
-    collector, and the flight recorder all want it. Composing them
-    through a fan-out keeps every observer's view identical to what it
-    would see alone — same callbacks, same order, same per-logical-op
-    granularity — so index parity holds for each of them independently.
+    The device publishes every persistence event to each observer, in
+    attach order, right after the event is applied::
+
+        on_event(index, kind, offset, length, detail)
+
+    ``kind`` is ``"store"``, ``"flush"`` or ``"fence"``; ``detail`` is
+    the store kind (``"store"``/``"nt"``/``"atomic"``) for a store, the
+    number of lines queued for a flush, and ``None`` for a fence (whose
+    offset and length are 0). ``index`` is the device's event index, so
+    ``CrashPlan(crash_after=index)`` fires just before that event.
+    ``on_drain`` follows :meth:`NvmDevice.drain`. The op and lock hooks
+    are fed by :class:`repro.sim.trace.ObservedRecorder`.
     """
 
-    __slots__ = ("taps",)
-
-    def __init__(self, taps=()) -> None:
-        self.taps = list(taps)
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        for tap in self.taps:
-            tap.on_store(offset, length, kind)
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        for tap in self.taps:
-            tap.on_flush(offset, length, nlines)
-
-    def on_fence(self) -> None:
-        for tap in self.taps:
-            tap.on_fence()
+    def on_event(self, index: int, kind: str, offset: int, length: int, detail) -> None:
+        pass
 
     def on_drain(self) -> None:
-        for tap in self.taps:
-            tap.on_drain()
+        pass
 
+    def on_op_begin(self, name: str) -> None:
+        pass
 
-def add_tap(device: "NvmDevice", tap) -> object:
-    """Attach *tap* to the device, composing with any existing observer
-    via :class:`TapFanout`. Returns *tap*."""
-    current = device.analysis_tap
-    if current is None:
-        device.analysis_tap = tap
-    elif isinstance(current, TapFanout):
-        current.taps.append(tap)
-    else:
-        device.analysis_tap = TapFanout([current, tap])
-    return tap
+    def on_op_end(self, name: str) -> None:
+        pass
 
+    def on_lock(self, key, mode) -> None:
+        pass
 
-def remove_tap(device: "NvmDevice", tap) -> None:
-    """Detach *tap*; collapses a one-element fan-out back to a bare slot."""
-    current = device.analysis_tap
-    if current is tap:
-        device.analysis_tap = None
-    elif isinstance(current, TapFanout) and tap in current.taps:
-        current.taps.remove(tap)
-        if len(current.taps) == 1:
-            device.analysis_tap = current.taps[0]
-        elif not current.taps:
-            device.analysis_tap = None
+    def on_unlock(self, key) -> None:
+        pass
 
 
 class NvmDevice:
@@ -119,6 +97,12 @@ class NvmDevice:
     A ``tracer`` (duck-typed, see :class:`repro.sim.trace.TraceRecorder`)
     may be attached; every media operation reports its cost segment so
     file-system code does not have to price device traffic by hand.
+
+    Every store, clwb call and fence consumes one ``event_index`` (per
+    element inside the vectorized entry points) and is published to the
+    ``observers`` (see :class:`DeviceObserver`). :meth:`drain` resets
+    the index, so after the post-setup drain it counts crash points
+    exactly as :class:`CrashPlan` does.
     """
 
     def __init__(
@@ -133,13 +117,15 @@ class NvmDevice:
         self.buffer = StoreBuffer(size)
         self.stats = DeviceStats()
         self.tracer = None  # duck-typed: io_write / io_read / io_flush / io_fence
-        #: duck-typed persistence-event observer (see
-        #: :class:`repro.analysis.analyzer.TraceAnalyzer`): on_store /
-        #: on_flush / on_fence / on_drain, fired once per logical op —
-        #: per element inside the vectorized entry points, mirroring the
-        #: crash-plan event enumeration exactly.
-        self.analysis_tap = None
+        self.observers: List[DeviceObserver] = []
+        self.event_index = 0
         self.crash_plan: Optional[CrashPlan] = None
+
+    def _publish(self, kind: str, offset: int, length: int, detail) -> None:
+        """Send the event just applied (and counted) to every observer."""
+        index = self.event_index - 1
+        for observer in self.observers:
+            observer.on_event(index, kind, offset, length, detail)
 
     # -- persistence primitives -------------------------------------------
 
@@ -150,10 +136,11 @@ class NvmDevice:
         self.buffer.store(offset, data)
         self.stats.stores += 1
         self.stats.stored_bytes += len(data)
+        self.event_index += 1
         if self.tracer is not None:
             self.tracer.io_cached(len(data))
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, len(data), "store")
+        if self.observers:
+            self._publish("store", offset, len(data), "store")
 
     def nt_store(self, offset: int, data: bytes) -> None:
         """Non-temporal store: bypasses the cache (store + clwb in one);
@@ -165,38 +152,40 @@ class NvmDevice:
         self.stats.stores += 1
         self.stats.stored_bytes += len(data)
         self.stats.flushed_lines += flushed
+        self.event_index += 1
         if self.tracer is not None:
             self.tracer.io_write(len(data))
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, len(data), "nt")
+        if self.observers:
+            self._publish("store", offset, len(data), "nt")
 
     # -- scatter-gather entry points ---------------------------------------
     #
     # One Python call issues a whole interval list. Accounting stays per
-    # logical op: every element still counts one store (and one crash-plan
-    # event, and one tracer segment), so DeviceStats, trace costs, and
-    # crash-point enumeration are byte-for-byte identical to a loop of
-    # single-op calls — the batching only removes interpreter overhead.
-    # Batch totals are committed in ``finally`` blocks so that a
-    # CrashRequested fired *inside* a batch leaves the counters exactly
-    # where the equivalent unbatched sequence would.
+    # logical op: every element still counts one store (and one event
+    # index, one crash-plan event, and one tracer segment), so
+    # DeviceStats, trace costs, and crash-point enumeration are
+    # byte-for-byte identical to a loop of single-op calls — the batching
+    # only removes interpreter overhead. Batch totals are committed in
+    # ``finally`` blocks so that a CrashRequested fired *inside* a batch
+    # leaves the counters exactly where the equivalent unbatched sequence
+    # would.
 
     def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
         """Vectorized cached store of (offset, data) pairs.
 
-        With no observer attached, the whole batch is one bulk buffer
-        call (identical per-element state transitions, no per-element
-        Python dispatch). The bulk path validates *before* mutating, so
-        on a bad element we fall through to the per-element loop to
-        reproduce exact partial-application semantics: same prefix
-        applied, same counters, same exception.
+        With nothing attached, the whole batch is one bulk buffer call
+        (identical per-element state transitions, no per-element Python
+        dispatch). The bulk path validates *before* mutating, so on a bad
+        element we fall through to the per-element loop to reproduce
+        exact partial-application semantics: same prefix applied, same
+        counters, same exception.
         """
         crash_plan = self.crash_plan
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
+        observers = self.observers
+        if crash_plan is None and tracer is None and not observers:
             try:
                 total = buffer.store_v(writes)
             except OutOfRangeError:
@@ -204,6 +193,7 @@ class NvmDevice:
             else:
                 stats.stores += len(writes)
                 stats.stored_bytes += total
+                self.event_index += len(writes)
                 return
         total = 0
         try:
@@ -213,10 +203,11 @@ class NvmDevice:
                 buffer.store(offset, data)
                 stats.stores += 1
                 total += len(data)
+                self.event_index += 1
                 if tracer is not None:
                     tracer.io_cached(len(data))
-                if tap is not None:
-                    tap.on_store(offset, len(data), "store")
+                if observers:
+                    self._publish("store", offset, len(data), "store")
         finally:
             stats.stored_bytes += total
 
@@ -229,8 +220,8 @@ class NvmDevice:
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
+        observers = self.observers
+        if crash_plan is None and tracer is None and not observers:
             try:
                 # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
                 total, lines = buffer.nt_store_v(writes)
@@ -240,6 +231,7 @@ class NvmDevice:
                 stats.stores += len(writes)
                 stats.stored_bytes += total
                 stats.flushed_lines += lines
+                self.event_index += len(writes)
                 return
         total = 0
         lines = 0
@@ -251,10 +243,11 @@ class NvmDevice:
                 lines += buffer.nt_store(offset, data)
                 stats.stores += 1
                 total += len(data)
+                self.event_index += 1
                 if tracer is not None:
                     tracer.io_write(len(data))
-                if tap is not None:
-                    tap.on_store(offset, len(data), "nt")
+                if observers:
+                    self._publish("store", offset, len(data), "nt")
         finally:
             stats.stored_bytes += total
             stats.flushed_lines += lines
@@ -263,24 +256,21 @@ class NvmDevice:
         """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
         pairs — the metadata-word commit pattern.
 
-        With a crash plan or tracer attached this delegates to the exact
-        two-step primitives so crash-event enumeration and trace
-        segments stay byte-identical. Otherwise the pair is fused
-        through the buffer's non-temporal store: the net effect on
-        working/dirty/pending/touched state and on DeviceStats is
-        provably the same (the just-stored line is always dirty, so the
-        flush always queues exactly that one line). The fused call
-        validates *before* mutating, so on a bad word we fall through to
-        the per-element loop to reproduce exact partial-application
-        semantics: same prefix applied, same counters, same exception —
-        an observer attached after the failure reads the identical
-        device state either way.
+        With a crash plan, tracer or observer attached this delegates to
+        the exact two-step primitives so crash-event enumeration, trace
+        segments and published events stay byte-identical. Otherwise the
+        pair is fused through the buffer's non-temporal store: the net
+        effect on working/dirty/pending/touched state, on DeviceStats and
+        on the event index (two per word) is provably the same (the
+        just-stored line is always dirty, so the flush always queues
+        exactly that one line). The fused call validates *before*
+        mutating, so on a bad word we fall through to the per-element
+        loop to reproduce exact partial-application semantics: same
+        prefix applied, same counters, same exception — an observer
+        attached after the failure reads the identical device state
+        either way.
         """
-        if (
-            self.crash_plan is not None
-            or self.tracer is not None
-            or self.analysis_tap is not None
-        ):
+        if self.crash_plan is not None or self.tracer is not None or self.observers:
             for offset, value in words:
                 self.atomic_store_u64(offset, value)
                 self.flush(offset, 8)
@@ -299,6 +289,7 @@ class NvmDevice:
         stats.stored_bytes += 8 * n
         stats.flushed_lines += n
         stats.flush_calls += n
+        self.event_index += 2 * n
 
     def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
         """Vectorized clwb of (offset, length) ranges."""
@@ -306,12 +297,13 @@ class NvmDevice:
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
-        tap = self.analysis_tap
-        if crash_plan is None and tracer is None and tap is None:
+        observers = self.observers
+        if crash_plan is None and tracer is None and not observers:
             lines, redundant = buffer.flush_v(ranges)
             stats.flushed_lines += lines
             stats.flush_calls += len(ranges)
             stats.redundant_flushes += redundant
+            self.event_index += len(ranges)
             return
         lines = 0
         calls = 0
@@ -325,10 +317,11 @@ class NvmDevice:
                 calls += 1
                 if nlines == 0:
                     redundant += 1
+                self.event_index += 1
                 if tracer is not None:
                     tracer.io_flush(nlines)
-                if tap is not None:
-                    tap.on_flush(offset, length, nlines)
+                if observers:
+                    self._publish("flush", offset, length, nlines)
         finally:
             stats.flushed_lines += lines
             stats.flush_calls += calls
@@ -340,10 +333,11 @@ class NvmDevice:
         self.buffer.atomic_store_u64(offset, value)
         self.stats.stores += 1
         self.stats.stored_bytes += 8
+        self.event_index += 1
         if self.tracer is not None:
             self.tracer.io_cached(8)
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_store(offset, 8, "atomic")
+        if self.observers:
+            self._publish("store", offset, 8, "atomic")
 
     def load(self, offset: int, length: int) -> bytes:
         data = self.buffer.load(offset, length)
@@ -364,10 +358,11 @@ class NvmDevice:
         self.stats.flushed_lines += nlines
         if nlines == 0:
             self.stats.redundant_flushes += 1
+        self.event_index += 1
         if self.tracer is not None:
             self.tracer.io_flush(nlines)
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_flush(offset, length, nlines)
+        if self.observers:
+            self._publish("flush", offset, length, nlines)
 
     def fence(self) -> None:
         if self.crash_plan is not None:
@@ -376,10 +371,11 @@ class NvmDevice:
             self.stats.redundant_fences += 1
         self.buffer.fence()
         self.stats.fences += 1
+        self.event_index += 1
         if self.tracer is not None:
             self.tracer.io_fence()
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_fence()
+        if self.observers:
+            self._publish("fence", 0, 0, None)
 
     def persist(self, offset: int, length: int) -> None:
         """flush + fence of one range (pmem_persist)."""
@@ -403,8 +399,9 @@ class NvmDevice:
     def drain(self) -> None:
         """Orderly shutdown: everything written becomes durable."""
         self.buffer.drain()
-        if self.analysis_tap is not None:
-            self.analysis_tap.on_drain()
+        self.event_index = 0
+        for observer in self.observers:
+            observer.on_drain()
 
     @classmethod
     def from_image(

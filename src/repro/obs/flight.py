@@ -17,11 +17,10 @@ Design constraints, in order:
   attached is byte-identical (crash images, ``DeviceStats``, verdicts)
   to the same run without it — the determinism gate in
   ``tests/test_obs_flight.py`` asserts both.
-- **Index parity.** Device events consume indices exactly like
-  :class:`repro.infer.events.EventCollector` and the crashsweep census:
-  one index per store / clwb call / fence (per element inside the
-  vectorized entry points), reset to zero by ``on_drain``. A ring
-  entry's index therefore *is* a ``--at N`` crash index.
+- **Device indices.** A device event's index is the device's own
+  ``event_index``: one per store / clwb call / fence (per element
+  inside the vectorized entry points), reset to zero by the drain. A
+  ring entry's index therefore *is* a ``--at N`` crash index.
 - **Null-object detachment.** The module-level :data:`NULL_FLIGHT`
   (``enabled = False``) is the detached recorder; hot paths that keep a
   ``flight`` reference pay one attribute check when recording is off,
@@ -54,10 +53,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.nvm.device import add_tap
+from repro.nvm.device import DeviceObserver
+from repro.sim.trace import attach_observer
 
 
-class NullFlightRecorder:
+class NullFlightRecorder(DeviceObserver):
     """Detached recorder: one attribute check, nothing recorded."""
 
     enabled = False
@@ -73,30 +73,6 @@ class NullFlightRecorder:
 
     def held_locks_snapshot(self) -> List[List[str]]:
         return []
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        pass
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        pass
-
-    def on_fence(self) -> None:
-        pass
-
-    def on_drain(self) -> None:
-        pass
-
-    def on_op_begin(self, name: str) -> None:
-        pass
-
-    def on_op_end(self, name: str) -> None:
-        pass
-
-    def on_lock(self, key, mode: str = "X") -> None:
-        pass
-
-    def on_unlock(self, key) -> None:
-        pass
 
     def on_span_open(self, name: str, t_ns: float) -> None:
         pass
@@ -116,7 +92,7 @@ def _render_key(key) -> str:
     return str(key)
 
 
-class FlightRecorder:
+class FlightRecorder(DeviceObserver):
     """Bounded, virtual-time-stamped event ring with crashsweep-parity
     device-event indices.
 
@@ -133,8 +109,6 @@ class FlightRecorder:
         self._ring = deque() if capacity == 0 else deque(maxlen=capacity)
         self.dropped = 0
         self.recorded = 0
-        #: crashsweep-parity device-event index (see module docstring)
-        self.event_index = 0
         self._clocks: Tuple[object, ...] = ()
         #: rendered lock key -> mode, in acquisition order
         self.held_locks: Dict[str, str] = {}
@@ -163,37 +137,21 @@ class FlightRecorder:
     def events_list(self) -> List[tuple]:
         return list(self._ring)
 
-    # -- device.analysis_tap (index parity with EventCollector) -------------
+    # -- device events -------------------------------------------------------
 
-    def _next_index(self) -> int:
-        idx = self.event_index
-        self.event_index += 1
-        return idx
-
-    def on_store(self, offset: int, length: int, kind: str) -> None:
-        self._append(
-            ("store", self._next_index(), self.now(), offset, length, kind,
-             self.op, tuple(self._span_stack))
-        )
-
-    def on_flush(self, offset: int, length: int, nlines: int) -> None:
-        self._append(
-            ("flush", self._next_index(), self.now(), offset, length, nlines,
-             self.op, tuple(self._span_stack))
-        )
-
-    def on_fence(self) -> None:
-        self._append(
-            ("fence", self._next_index(), self.now(), self.op, tuple(self._span_stack))
-        )
+    def on_event(self, index: int, kind: str, offset: int, length: int, detail) -> None:
+        spans = tuple(self._span_stack)
+        if kind == "fence":
+            self._append(("fence", index, self.now(), self.op, spans))
+        else:
+            self._append((kind, index, self.now(), offset, length, detail, self.op, spans))
 
     def on_drain(self) -> None:
-        """Setup boundary: pre-history is discarded and indices restart,
-        exactly like the collector and the census baseline."""
+        """Setup boundary: pre-history is discarded (the device index
+        restarts here, like the census baseline)."""
         self._ring.clear()
         self.dropped = 0
         self.recorded = 0
-        self.event_index = 0
 
     # -- recorder-wrapper hooks (ops + locks) -------------------------------
 
@@ -252,85 +210,14 @@ class FlightRecorder:
         }
 
 
-class FlightRecorderWrapper:
-    """A conforming ``Recorder`` that feeds op boundaries and lock
-    events to the flight recorder; everything else forwards. Mirrors
-    :class:`repro.analysis.analyzer.AnalysisRecorder` so the two can
-    stack in either order."""
-
-    def __init__(self, inner, flight: FlightRecorder) -> None:
-        self.inner = inner
-        self.flight = flight
-
-    @property
-    def timing(self):
-        return self.inner.timing
-
-    @property
-    def enabled(self) -> bool:
-        return self.inner.enabled
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self.inner.enabled = value
-
-    @property
-    def clock_ns(self) -> float:
-        return self.inner.clock_ns
-
-    # -- op lifecycle ------------------------------------------------------
-
-    def begin_op(self, name: str) -> None:
-        self.inner.begin_op(name)
-        self.flight.on_op_begin(name)
-
-    def end_op(self):
-        trace = self.inner.end_op()
-        self.flight.on_op_end(trace.name)
-        return trace
-
-    def take_completed(self):
-        return self.inner.take_completed()
-
-    # -- explicit costs ----------------------------------------------------
-
-    def compute(self, ns: float) -> None:
-        self.inner.compute(ns)
-
-    def lock(self, key, mode) -> None:
-        self.inner.lock(key, mode)
-        self.flight.on_lock(key, mode)
-
-    def unlock(self, key) -> None:
-        self.inner.unlock(key)
-        self.flight.on_unlock(key)
-
-    # -- device tracer interface -------------------------------------------
-
-    def io_write(self, nbytes: int) -> None:
-        self.inner.io_write(nbytes)
-
-    def io_cached(self, nbytes: int) -> None:
-        self.inner.io_cached(nbytes)
-
-    def io_read(self, nbytes: int) -> None:
-        self.inner.io_read(nbytes)
-
-    def io_flush(self, nlines: int) -> None:
-        self.inner.io_flush(nlines)
-
-    def io_fence(self) -> None:
-        self.inner.io_fence()
-
-
 def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> FlightRecorder:
     """Attach a flight recorder to a workload system (a mounted file
     system or a crashsweep ``RawSystem``).
 
-    Composes with any observer already on ``device.analysis_tap`` via
-    the fan-out, wraps the foreground recorder for op/lock events, and
-    — when telemetry is live (attach it first) — hooks span open/close
-    through ``Telemetry.flight``.
+    Joins the device observers (see
+    :func:`repro.sim.trace.attach_observer`) for device, op and lock
+    events and — when telemetry is live (attach it first) — hooks span
+    open/close through ``Telemetry.flight``.
     """
     flight = FlightRecorder(capacity=capacity, regions=regions)
     clocks = [system.recorder]
@@ -338,8 +225,7 @@ def attach_flight(system, capacity: int = 256, telemetry=None, regions=None) -> 
     if bg is not None:
         clocks.append(bg)
     flight.bind(clocks)
-    add_tap(system.device, flight)
-    system.recorder = FlightRecorderWrapper(system.recorder, flight)
+    attach_observer(system, flight)
     tel = telemetry if telemetry is not None else getattr(system, "obs", None)
     if tel is not None and getattr(tel, "enabled", False):
         tel.flight = flight

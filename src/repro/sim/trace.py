@@ -26,8 +26,7 @@ Segment = Tuple  # ("compute", ns) | ("io", ns) | ("lock", key, mode) | ("unlock
 @runtime_checkable
 class Recorder(Protocol):
     """The formal surface shared by :class:`TraceRecorder` and
-    :class:`NullRecorder` (and any wrapper, e.g. the analysis tap's
-    :class:`~repro.analysis.analyzer.AnalysisRecorder`).
+    :class:`NullRecorder` (and the :class:`ObservedRecorder` wrapper).
 
     File-system code talks to its recorder only through these members,
     so a conforming wrapper can be swapped in without isinstance checks.
@@ -220,3 +219,92 @@ class NullRecorder:
 
     def io_fence(self) -> None:
         pass
+
+
+class ObservedRecorder:
+    """Wrap any :class:`Recorder` and feed op boundaries and lock events
+    to the device observers; everything else forwards to the wrapped
+    recorder. Installed by :func:`attach_observer`, so the analyzer, the
+    inference collector and the flight recorder all share one wrapper
+    and one observer list with the device.
+    """
+
+    def __init__(self, inner, observers: list) -> None:
+        self.inner = inner
+        self.observers = observers
+
+    @property
+    def timing(self):
+        return self.inner.timing
+
+    @property
+    def enabled(self) -> bool:
+        return self.inner.enabled
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        self.inner.enabled = value
+
+    @property
+    def clock_ns(self) -> float:
+        return self.inner.clock_ns
+
+    # -- op lifecycle ------------------------------------------------------
+
+    def begin_op(self, name: str) -> None:
+        self.inner.begin_op(name)
+        for observer in self.observers:
+            observer.on_op_begin(name)
+
+    def end_op(self) -> OpTrace:
+        trace = self.inner.end_op()
+        for observer in self.observers:
+            observer.on_op_end(trace.name)
+        return trace
+
+    def take_completed(self) -> List[OpTrace]:
+        return self.inner.take_completed()
+
+    # -- explicit costs ----------------------------------------------------
+
+    def compute(self, ns: float) -> None:
+        self.inner.compute(ns)
+
+    def lock(self, key: Hashable, mode: str) -> None:
+        self.inner.lock(key, mode)
+        for observer in self.observers:
+            observer.on_lock(key, mode)
+
+    def unlock(self, key: Hashable) -> None:
+        self.inner.unlock(key)
+        for observer in self.observers:
+            observer.on_unlock(key)
+
+    # -- device tracer interface -------------------------------------------
+
+    def io_write(self, nbytes: int) -> None:
+        self.inner.io_write(nbytes)
+
+    def io_cached(self, nbytes: int) -> None:
+        self.inner.io_cached(nbytes)
+
+    def io_read(self, nbytes: int) -> None:
+        self.inner.io_read(nbytes)
+
+    def io_flush(self, nlines: int) -> None:
+        self.inner.io_flush(nlines)
+
+    def io_fence(self) -> None:
+        self.inner.io_fence()
+
+
+def attach_observer(system, observer):
+    """Attach *observer* to a workload system (a mounted file system or
+    a crashsweep ``RawSystem``): append it to ``system.device.observers``
+    and wrap ``system.recorder`` once in an :class:`ObservedRecorder` over
+    that same list. Returns *observer*."""
+    device = system.device
+    device.observers.append(observer)
+    if not isinstance(system.recorder, ObservedRecorder):
+        system.recorder = ObservedRecorder(system.recorder, device.observers)
+    return observer

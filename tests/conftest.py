@@ -7,9 +7,41 @@ import pytest
 from repro.analysis import attach_analyzer
 from repro.core import MgspConfig, MgspFilesystem
 from repro.fs import Ext4, Ext4Dax, Libnvmmio, Nova, Splitfs
-from repro.nvm.device import NvmDevice
+from repro.nvm.device import DeviceObserver, NvmDevice
 
 SMALL_DEVICE = 32 << 20
+
+
+class RecordingObserver(DeviceObserver):
+    """Test double for both device hooks: as a device observer it records
+    every published ``(index, kind, offset, length, detail)`` event (and
+    drains) in ``events``; as a tracer it records cost segments in
+    ``segments``."""
+
+    def __init__(self):
+        self.events = []
+        self.segments = []
+
+    def on_event(self, index, kind, offset, length, detail):
+        self.events.append((index, kind, offset, length, detail))
+
+    def on_drain(self):
+        self.events.append(("drain",))
+
+    def io_cached(self, nbytes):
+        self.segments.append(("cached", nbytes))
+
+    def io_write(self, nbytes):
+        self.segments.append(("write", nbytes))
+
+    def io_read(self, nbytes):
+        self.segments.append(("read", nbytes))
+
+    def io_flush(self, nlines):
+        self.segments.append(("flush", nlines))
+
+    def io_fence(self):
+        self.segments.append(("fence",))
 
 
 @pytest.fixture

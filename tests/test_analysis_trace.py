@@ -6,9 +6,7 @@ import pytest
 
 from repro.analysis import (
     RULES,
-    AnalysisRecorder,
     RegionMap,
-    TraceAnalyzer,
     attach_analyzer,
     program_context,
     run_workload,
@@ -16,7 +14,7 @@ from repro.analysis import (
 from repro.core import MgspConfig, MgspFilesystem
 from repro.nvm.crash import count_events
 from repro.nvm.timing import TimingModel
-from repro.sim.trace import NullRecorder, Recorder, TraceRecorder
+from repro.sim.trace import NullRecorder, ObservedRecorder, Recorder, TraceRecorder
 
 
 def rules_of(findings):
@@ -190,7 +188,7 @@ def test_event_indices_match_crash_sweep_enumeration():
     d.store_v(((ctx.data_off, b"b" * 64), (ctx.data_off + 64, b"c" * 64)))  # 2
     d.flush_v(((ctx.data_off, 64), (ctx.data_off + 64, 64)))  # 2
     d.fence()  # 1
-    assert ctx.analyzer.event_index == count_events(d, since=base) == 8
+    assert d.event_index == count_events(d, since=base) == 8
 
 
 def test_budget_saturation_stops_analysis():
@@ -202,8 +200,8 @@ def test_budget_saturation_stops_analysis():
     d.store(ctx.node_tables_off + 64, b"x" * 16)  # past budget: ignored
     assert ctx.analyzer.saturated
     assert rules_of(ctx.analyzer.errors) == ["torn-multiword"]
-    # events keep counting for parity even while saturated
-    assert ctx.analyzer.event_index == 3
+    # the device keeps counting for parity even while the analyzer is saturated
+    assert d.event_index == 3
 
 
 def test_drain_resets_counter_and_state():
@@ -211,19 +209,18 @@ def test_drain_resets_counter_and_state():
     d = ctx.device
     d.store(ctx.data_off, b"x" * 64)
     d.drain()
-    assert ctx.analyzer.event_index == 0
+    assert d.event_index == 0
     d.store(ctx.data_off, b"y" * 64)
     d.persist(ctx.data_off, 64)
     assert ctx.analyzer.findings == []
 
 
-# -- AnalysisRecorder ------------------------------------------------------
+# -- ObservedRecorder ------------------------------------------------------
 
 
 def test_analysis_recorder_satisfies_protocol_and_forwards():
-    analyzer = TraceAnalyzer(RegionMap.for_device(4 << 20))
     inner = TraceRecorder(TimingModel())
-    rec = AnalysisRecorder(inner, analyzer)
+    rec = ObservedRecorder(inner, [])
     assert isinstance(rec, Recorder)
     assert isinstance(NullRecorder(), Recorder)
     rec.begin_op("write")
@@ -241,8 +238,9 @@ def test_analysis_recorder_satisfies_protocol_and_forwards():
 def test_attach_analyzer_wraps_live_mount():
     fs = make_fs()
     analyzer = attach_analyzer(fs, perf=False)
-    assert fs.device.analysis_tap is analyzer
-    assert isinstance(fs.recorder, AnalysisRecorder)
+    assert fs.device.observers == [analyzer]
+    assert isinstance(fs.recorder, ObservedRecorder)
+    assert fs.recorder.observers is fs.device.observers
     f = fs.create("a", capacity=1 << 16)
     f.write(0, b"hello" * 100)
     f.fsync()

@@ -1,8 +1,8 @@
 """Array-native device core: bulk ``_v`` paths vs the op-by-op loop.
 
 The bulk buffer paths (ISSUE 7) must be *invisible*: identical
-``DeviceStats``, identical tracer cost segments, identical analysis-tap
-event sequences, identical buffer state — including when a crash plan
+``DeviceStats``, identical tracer cost segments, identical indexed
+observer event sequences, identical buffer state — including when a crash plan
 fires mid-batch — and identical crash-image candidate order, so seeded
 ``choose_persist_words`` draws the same subset on either core.
 """
@@ -18,49 +18,9 @@ from hypothesis import strategies as st
 from repro.errors import CrashRequested, OutOfRangeError
 from repro.nvm.crash import CrashPlan
 from repro.nvm.device import NvmDevice
+from tests.conftest import RecordingObserver
 
 SIZE = 1 << 18
-
-
-class RecordingTracer:
-    """Duck-typed tracer capturing every cost segment as a tuple."""
-
-    def __init__(self):
-        self.events = []
-
-    def io_cached(self, nbytes):
-        self.events.append(("cached", nbytes))
-
-    def io_write(self, nbytes):
-        self.events.append(("write", nbytes))
-
-    def io_read(self, nbytes):
-        self.events.append(("read", nbytes))
-
-    def io_flush(self, nlines):
-        self.events.append(("flush", nlines))
-
-    def io_fence(self):
-        self.events.append(("fence",))
-
-
-class RecordingTap:
-    """Duck-typed analysis tap capturing the persistence-event stream."""
-
-    def __init__(self):
-        self.events = []
-
-    def on_store(self, offset, length, kind):
-        self.events.append(("store", offset, length, kind))
-
-    def on_flush(self, offset, length, nlines):
-        self.events.append(("flush", offset, length, nlines))
-
-    def on_fence(self):
-        self.events.append(("fence",))
-
-    def on_drain(self):
-        self.events.append(("drain",))
 
 
 def full_stats(device):
@@ -174,23 +134,25 @@ class TestBulkPathParity:
     def test_tracer_segments_match(self, ops):
         batched = NvmDevice(SIZE)
         reference = NvmDevice(SIZE)
-        batched.tracer = RecordingTracer()
-        reference.tracer = RecordingTracer()
+        batched.tracer = RecordingObserver()
+        reference.tracer = RecordingObserver()
         apply_batched(batched, ops)
         apply_op_by_op(reference, ops)
-        assert batched.tracer.events == reference.tracer.events
+        assert batched.tracer.segments == reference.tracer.segments
         assert full_stats(batched) == full_stats(reference)
 
     @given(ops_strategy)
     @settings(max_examples=25, deadline=None)
-    def test_analysis_tap_events_match(self, ops):
+    def test_observer_events_match(self, ops):
         batched = NvmDevice(SIZE)
         reference = NvmDevice(SIZE)
-        batched.analysis_tap = RecordingTap()
-        reference.analysis_tap = RecordingTap()
+        batched_obs, reference_obs = RecordingObserver(), RecordingObserver()
+        batched.observers.append(batched_obs)
+        reference.observers.append(reference_obs)
         apply_batched(batched, ops)
         apply_op_by_op(reference, ops)
-        assert batched.analysis_tap.events == reference.analysis_tap.events
+        assert batched_obs.events == reference_obs.events
+        assert [e[0] for e in batched_obs.events] == list(range(batched.event_index))
         assert full_stats(batched) == full_stats(reference)
 
 

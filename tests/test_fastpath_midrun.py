@@ -1,7 +1,7 @@
 """Bulk fast-path gate audit (ISSUE 8): observers attached mid-run.
 
 The PR-7 ``_v`` entry points take a bulk buffer path only when no crash
-plan, tracer, or analysis tap is attached.  The gating contract is that
+plan, tracer, or device observer is attached.  The gating contract is that
 the bulk path leaves *identical device state* behind, so an observer
 attached between batched ops — mid-run — sees an event/trace stream
 that could not distinguish which path the earlier ops took.
@@ -9,8 +9,8 @@ that could not distinguish which path the earlier ops took.
 Two suites:
 
 - mid-run attach parity: run a randomized batched op sequence, attach a
-  recording tap (and tracer) at an arbitrary point, and assert the
-  post-attach event stream, DeviceStats, unfenced-word candidates, and
+  recording observer (and tracer) at an arbitrary point, and assert the
+  post-attach indexed event stream, DeviceStats, unfenced-word candidates, and
   seeded crash image all match a device that ran the exact per-element
   loop throughout (forced by a null tracer).
 - error-path parity (the bug this issue fixed): a ``store_word_v``
@@ -19,6 +19,10 @@ Two suites:
   so anything reading stats deltas afterwards (obs attribution, write
   amplification, bench exports) diverged based on whether an observer
   happened to be attached.
+
+The bulk path advances the device's event index by the batch's event
+count, so the indices an observer sees after a mid-run attach are the
+same on both paths.
 """
 
 from __future__ import annotations
@@ -29,45 +33,9 @@ import pytest
 
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.device import NvmDevice
+from tests.conftest import RecordingObserver
 
 SIZE = 1 << 16
-
-
-class RecordingTap:
-    def __init__(self):
-        self.events = []
-
-    def on_store(self, offset, length, kind):
-        self.events.append(("store", offset, length, kind))
-
-    def on_flush(self, offset, length, nlines):
-        self.events.append(("flush", offset, length, nlines))
-
-    def on_fence(self):
-        self.events.append(("fence",))
-
-    def on_drain(self):
-        self.events.append(("drain",))
-
-
-class RecordingTracer:
-    def __init__(self):
-        self.segments = []
-
-    def io_cached(self, n):
-        self.segments.append(("cached", n))
-
-    def io_write(self, n):
-        self.segments.append(("write", n))
-
-    def io_read(self, n):
-        self.segments.append(("read", n))
-
-    def io_flush(self, n):
-        self.segments.append(("flush", n))
-
-    def io_fence(self):
-        self.segments.append(("fence",))
 
 
 class NullTracer:
@@ -143,9 +111,9 @@ def _apply(device, op):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_midrun_tap_attach_event_parity(seed):
-    """A tap attached between batched ops sees the same events, stats,
-    and crash-image candidates whether the earlier ops took the bulk
-    path or the per-element loop."""
+    """An observer attached between batched ops sees the same indexed
+    events, stats, and crash-image candidates whether the earlier ops
+    took the bulk path or the per-element loop."""
     rng = random.Random(seed)
     ops = _gen_ops(rng, 40)
     attach_at = rng.randrange(0, len(ops))
@@ -153,15 +121,17 @@ def test_midrun_tap_attach_event_parity(seed):
     bulk = NvmDevice(SIZE)  # bulk fast path until attach
     slow = NvmDevice(SIZE)
     slow.tracer = NullTracer()  # per-element loop throughout
-    taps = (RecordingTap(), RecordingTap())
+    observers = (RecordingObserver(), RecordingObserver())
 
     for i, op in enumerate(ops):
         if i == attach_at:
-            bulk.analysis_tap, slow.analysis_tap = taps
+            bulk.observers.append(observers[0])
+            slow.observers.append(observers[1])
         _apply(bulk, op)
         _apply(slow, op)
 
-    assert taps[0].events == taps[1].events
+    assert observers[0].events == observers[1].events
+    assert bulk.event_index == slow.event_index
     assert vars(bulk.stats) == vars(slow.stats)
     assert bulk.unfenced_words() == slow.unfenced_words()
     assert bulk.crash_image(rng=random.Random(7)) == slow.crash_image(rng=random.Random(7))
@@ -177,8 +147,8 @@ def test_midrun_tracer_attach_segment_parity(seed):
 
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.analysis_tap = RecordingTap()  # any observer forces per-element
-    tracers = (RecordingTracer(), RecordingTracer())
+    slow.observers.append(RecordingObserver())  # any observer forces per-element
+    tracers = (RecordingObserver(), RecordingObserver())
 
     for i, op in enumerate(ops):
         if i == attach_at:
@@ -217,13 +187,14 @@ def test_store_word_v_error_path_parity(words, exc):
     assert bulk.buffer._pending_log == slow.buffer._pending_log
     assert bulk.unfenced_words() == slow.unfenced_words()
 
-    # a tap attached after the failed batch sees identical follow-on events
-    taps = (RecordingTap(), RecordingTap())
-    bulk.analysis_tap, slow.analysis_tap = taps
+    # an observer attached after the failed batch sees identical follow-on events
+    observers = (RecordingObserver(), RecordingObserver())
+    bulk.observers.append(observers[0])
+    slow.observers.append(observers[1])
     for device in (bulk, slow):
         device.store_word_v([(256, 9)])
         device.fence()
-    assert taps[0].events == taps[1].events
+    assert observers[0].events == observers[1].events
     assert vars(bulk.stats) == vars(slow.stats)
 
 

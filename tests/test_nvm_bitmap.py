@@ -1,4 +1,4 @@
-"""RangeBitmap must behave exactly like the IntervalSet it replaced,
+"""RangeBitmap must behave exactly like a plain set of covered grains,
 including ascending run order (load-bearing for seeded crash images)."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nvm.bitmap import CHUNK_BITS, RangeBitmap, iter_bit_runs
-from repro.nvm.intervals import IntervalSet
 
 
 class TestBitRuns:
@@ -25,14 +24,10 @@ class TestBitRuns:
         assert list(iter_bit_runs((1 << CHUNK_BITS) - 1)) == [(0, CHUNK_BITS)]
 
 
-# Word-aligned ranges spanning several chunks at grain 8
-# (one chunk = CHUNK_BITS * 8 bytes = 32 KB).
-aligned_ranges = st.lists(
-    st.tuples(st.integers(0, 12_000), st.integers(1, 600)).map(
-        lambda t: (t[0] * 8, t[0] * 8 + t[1] * 8)
-    ),
-    max_size=30,
-)
+# Reference model: the set of covered grain indices, as plain ints.
+# Grain 8 is the store buffer's word tracking; grain 1 is Libnvmmio's
+# per-block byte ranges (one 4 KB block = one chunk at grain 1).
+grains = st.sampled_from([1, 8])
 ops = st.lists(
     st.tuples(
         st.sampled_from(["add", "remove"]),
@@ -43,66 +38,64 @@ ops = st.lists(
 )
 
 
-class TestEquivalenceWithIntervalSet:
-    @given(aligned_ranges)
-    @settings(max_examples=80, deadline=None)
-    def test_adds_produce_identical_runs(self, ranges):
-        bm = RangeBitmap(8)
-        ref = IntervalSet()
-        for start, end in ranges:
+def build(grain, operations):
+    """Apply (op, start_grain, ngrains) to a bitmap and the point model."""
+    bm = RangeBitmap(grain)
+    points = set()
+    for op, first, n in operations:
+        start, end = first * grain, (first + n) * grain
+        if op == "add":
             bm.add(start, end)
-            ref.add(start, end)
-        assert list(bm.runs()) == list(ref)
-        assert len(bm) == len(ref)
-        assert bm.total() == ref.total()
-        assert bool(bm) == bool(ref)
+            points.update(range(first, first + n))
+        else:
+            bm.remove(start, end)
+            points.difference_update(range(first, first + n))
+    return bm, points
 
-    @given(ops)
+
+def model_runs(points, grain):
+    runs = []
+    for p in sorted(points):
+        if runs and runs[-1][1] == p * grain:
+            runs[-1][1] += grain
+        else:
+            runs.append([p * grain, (p + 1) * grain])
+    return [tuple(r) for r in runs]
+
+
+class TestEquivalenceWithPointSet:
+    @given(grains, ops.map(lambda o: [("add", w, n) for _, w, n in o]))
     @settings(max_examples=80, deadline=None)
-    def test_mixed_adds_removes_match(self, operations):
-        bm = RangeBitmap(8)
-        ref = IntervalSet()
-        for op, word, nwords in operations:
-            start, end = word * 8, (word + nwords) * 8
-            if op == "add":
-                bm.add(start, end)
-                ref.add(start, end)
-            else:
-                bm.remove(start, end)
-                ref.remove(start, end)
-        assert list(bm.runs()) == list(ref)
+    def test_adds_produce_identical_runs(self, grain, operations):
+        bm, points = build(grain, operations)
+        runs = model_runs(points, grain)
+        assert list(bm.runs()) == runs
+        assert len(bm) == len(runs)
+        assert bm.total() == len(points) * grain
+        assert bool(bm) == bool(points)
 
-    @given(ops, st.integers(0, 12_600), st.integers(0, 12_600))
+    @given(grains, ops)
     @settings(max_examples=80, deadline=None)
-    def test_iter_intersect_matches(self, operations, a, b):
-        lo, hi = min(a, b) * 8, max(a, b) * 8
-        bm = RangeBitmap(8)
-        ref = IntervalSet()
-        for op, word, nwords in operations:
-            start, end = word * 8, (word + nwords) * 8
-            if op == "add":
-                bm.add(start, end)
-                ref.add(start, end)
-            else:
-                bm.remove(start, end)
-                ref.remove(start, end)
-        assert list(bm.iter_intersect(lo, hi)) == list(ref.iter_intersect(lo, hi))
-        assert bm.overlaps(lo, hi) == ref.overlaps(lo, hi)
+    def test_mixed_adds_removes_match(self, grain, operations):
+        bm, points = build(grain, operations)
+        assert list(bm.runs()) == model_runs(points, grain)
 
-    @given(ops, st.integers(0, 12_600))
+    @given(grains, ops, st.integers(0, 12_600), st.integers(0, 12_600))
+    @settings(max_examples=80, deadline=None)
+    def test_iter_intersect_matches(self, grain, operations, a, b):
+        lo, hi = min(a, b), max(a, b)
+        bm, points = build(grain, operations)
+        inside = {p for p in points if lo <= p < hi}
+        assert list(bm.iter_intersect(lo * grain, hi * grain)) == model_runs(inside, grain)
+        assert bm.overlaps(lo * grain, hi * grain) == bool(inside)
+        # Libnvmmio's "range fully logged" test
+        assert (bm.count(lo * grain, hi * grain) == hi - lo) == (len(inside) == hi - lo)
+
+    @given(grains, ops, st.integers(0, 12_600))
     @settings(max_examples=60, deadline=None)
-    def test_contains_matches(self, operations, word):
-        bm = RangeBitmap(8)
-        ref = IntervalSet()
-        for op, w, nwords in operations:
-            start, end = w * 8, (w + nwords) * 8
-            if op == "add":
-                bm.add(start, end)
-                ref.add(start, end)
-            else:
-                bm.remove(start, end)
-                ref.remove(start, end)
-        assert bm.contains(word * 8) == ref.contains(word * 8)
+    def test_contains_matches(self, grain, operations, p):
+        bm, points = build(grain, operations)
+        assert bm.contains(p * grain) == (p in points)
 
 
 class TestRunOrdering:

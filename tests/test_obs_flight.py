@@ -1,4 +1,4 @@
-"""Flight recorder: determinism gate, ring semantics, tap fan-out.
+"""Flight recorder: determinism gate, ring semantics, device indices.
 
 The load-bearing property is **non-perturbation**: attaching the
 recorder (and telemetry) to a workload must leave crash images,
@@ -13,7 +13,7 @@ import pytest
 
 from repro.crashsweep.workloads import get_workload
 from repro.nvm.crash import CrashPlan, count_events
-from repro.nvm.device import NvmDevice, TapFanout, add_tap, remove_tap
+from repro.nvm.device import NvmDevice
 from repro.obs.flight import (
     NULL_FLIGHT,
     FlightRecorder,
@@ -39,47 +39,13 @@ def _run(workload_name, config, crash_after=None, flight_capacity=None):
     return outcome, holder.get("flight")
 
 
-class _CountingTap:
-    def __init__(self):
-        self.calls = []
-
-    def on_store(self, offset, length, kind):
-        self.calls.append(("store", offset, length, kind))
-
-    def on_flush(self, offset, length, nlines):
-        self.calls.append(("flush", offset, length, nlines))
-
-    def on_fence(self):
-        self.calls.append(("fence",))
-
-    def on_drain(self):
-        self.calls.append(("drain",))
-
-
 def test_null_flight_is_inert():
     assert NULL_FLIGHT.enabled is False
     assert isinstance(NULL_FLIGHT, NullFlightRecorder)
     NULL_FLIGHT.mark("x")
-    NULL_FLIGHT.on_fence()
+    NULL_FLIGHT.on_event(0, "fence", 0, 0, None)
     assert NULL_FLIGHT.events_list() == []
     assert NULL_FLIGHT.snapshot()["events"] == []
-
-
-def test_tap_fanout_add_remove():
-    device = NvmDevice(1 << 20)
-    a, b = _CountingTap(), _CountingTap()
-    add_tap(device, a)
-    assert device.analysis_tap is a  # single tap stays bare
-    add_tap(device, b)
-    assert isinstance(device.analysis_tap, TapFanout)
-    device.store(0, b"\xaa" * 8)
-    assert a.calls and a.calls == b.calls
-    remove_tap(device, b)
-    assert device.analysis_tap is a  # collapses back to the bare slot
-    device.fence()
-    assert a.calls[-1] == ("fence",) and ("fence",) not in b.calls
-    remove_tap(device, a)
-    assert device.analysis_tap is None
 
 
 def test_flight_attach_is_non_perturbing():
@@ -100,14 +66,12 @@ def test_event_index_parity_with_crashsweep():
     """Ring indices are crash indices: the recorder counts exactly the
     events the sweep enumerates (census baseline = post-setup drain)."""
     outcome, flight = _run("fio-randwrite", "sync", flight_capacity=64)
-    assert flight.event_index == count_events(
-        outcome.fs.device, since=outcome.stats_base
-    )
+    device = outcome.fs.device
+    assert device.event_index == count_events(device, since=outcome.stats_base)
     # the bounded ring keeps the tail; indices in it are replayable --at Ns
     tail = [e for e in flight.events_list() if e[0] in ("store", "flush", "fence")]
-    indices = [e[1] for e in tail if e[0] in ("store", "flush")]
-    assert indices == sorted(indices)
-    assert indices[-1] < flight.event_index
+    indices = [e[1] for e in tail]
+    assert indices == list(range(device.event_index - len(tail), device.event_index))
 
 
 def test_bounded_ring_drops_head():
@@ -131,10 +95,12 @@ def test_unbounded_ring_keeps_everything():
 
 
 def test_held_locks_and_span_stack():
+    device = NvmDevice(1 << 20)
     flight = FlightRecorder(capacity=0)
+    device.observers.append(flight)
     flight.on_lock("inode:3", "X")
     flight.on_span_open("op.write", 0.0)
-    flight.on_store(4096, 64, "store")
+    device.store(4096, b"\0" * 64)
     assert flight.held_locks_snapshot() == [["inode:3", "X"]]
     store = [e for e in flight.events_list() if e[0] == "store"][0]
     assert store[7] == ("op.write",)  # open spans ride on the event
@@ -143,13 +109,17 @@ def test_held_locks_and_span_stack():
 
 
 def test_drain_resets_ring_and_index():
+    device = NvmDevice(1 << 20)
     flight = FlightRecorder(capacity=8)
-    flight.on_store(0, 8, "store")
-    flight.on_fence()
-    assert flight.event_index > 0
-    flight.on_drain()
-    assert flight.event_index == 0
+    device.observers.append(flight)
+    device.store(0, b"\0" * 8)
+    device.fence()
+    assert [e[1] for e in flight.events_list()] == [0, 1]
+    device.drain()
+    assert device.event_index == 0
     assert flight.events_list() == []
+    device.fence()
+    assert [e[1] for e in flight.events_list()] == [0]
 
 
 @pytest.mark.parametrize("config", ["sync", "async"])
