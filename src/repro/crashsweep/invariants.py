@@ -100,14 +100,14 @@ def check_image(
 
     if idempotence:
         fs.device.drain()
-        first = bytes(fs.device.buffer.durable)
+        first = fs.device.buffer.snapshot_durable()
         try:
             fs2, stats2 = recover(NvmDevice.from_image(first), config=make_config(config_name))
         except Exception as exc:
             violations.append(f"second recovery raised {type(exc).__name__}: {exc}")
             return violations
         fs2.device.drain()
-        second = bytes(fs2.device.buffer.durable)
+        second = fs2.device.buffer.snapshot_durable()
         if second != first:
             diff = sum(a != b for a, b in zip(first, second))
             violations.append(

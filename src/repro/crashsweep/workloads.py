@@ -40,6 +40,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core import MgspConfig, MgspFilesystem
 from repro.errors import CrashRequested
 from repro.nvm.crash import CrashPlan
@@ -448,14 +450,14 @@ class NovaSweepWorkload(SweepWorkload):
                 )
         if idempotence:
             fs.device.drain()
-            first = bytes(fs.device.buffer.durable)
+            first = fs.device.buffer.snapshot_durable()
             try:
                 fs2 = Nova.recover(NvmDevice.from_image(first))
             except Exception as exc:
                 violations.append(f"second NOVA recovery raised {exc!r}")
                 return violations
             fs2.device.drain()
-            second = bytes(fs2.device.buffer.durable)
+            second = fs2.device.buffer.snapshot_durable()
             if second != first:
                 diff = sum(a != b for a, b in zip(first, second))
                 violations.append(
@@ -553,13 +555,19 @@ class LibnvmmioSweepWorkload(SweepWorkload):
                 violations.append(f"{name}: lost after crash: {exc!r}")
                 continue
             got = device.buffer.load(inode.base, oracle.capacity)
-            for i, b in enumerate(got):
-                if b != oracle.synced[i] and b != oracle.current[i]:
-                    violations.append(
-                        f"{name}: byte {i} reads {b}, neither last-synced "
-                        f"({oracle.synced[i]}) nor latest-written ({oracle.current[i]})"
-                    )
-                    break
+            if got == oracle.synced or got == oracle.current:
+                continue
+            byte = np.frombuffer(got, dtype=np.uint8)
+            bad = np.flatnonzero(
+                (byte != np.frombuffer(oracle.synced, dtype=np.uint8))
+                & (byte != np.frombuffer(oracle.current, dtype=np.uint8))
+            )
+            if len(bad):
+                i = int(bad[0])
+                violations.append(
+                    f"{name}: byte {i} reads {got[i]}, neither last-synced "
+                    f"({oracle.synced[i]}) nor latest-written ({oracle.current[i]})"
+                )
         # No recovery pass exists to re-run: idempotence is vacuous here.
         return violations
 
@@ -728,11 +736,11 @@ class PqueueSweepWorkload(SweepWorkload):
                 d1 = NvmDevice.from_image(bytes(image))
                 PersistentQueue.recover(d1, PQUEUE_BASE, sync=sync)
                 d1.drain()
-                first = bytes(d1.buffer.durable)
+                first = d1.buffer.snapshot_durable()
                 d2 = NvmDevice.from_image(first)
                 PersistentQueue.recover(d2, PQUEUE_BASE, sync=sync)
                 d2.drain()
-                second = bytes(d2.buffer.durable)
+                second = d2.buffer.snapshot_durable()
             except Exception as exc:
                 violations.append(f"re-recovery raised {type(exc).__name__}: {exc}")
                 return violations

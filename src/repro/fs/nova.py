@@ -50,6 +50,8 @@ import struct
 import zlib
 from typing import List
 
+import numpy as np
+
 from repro.errors import FileNotFound, FsError
 from repro.fsapi.interface import FileHandle, FileSystem, OpenFlags
 from repro.fsapi.volume import Inode
@@ -247,20 +249,22 @@ class Nova(FileSystem):
         """(seq, off, file_id, new_size, size_slot, pairs) for every
         checksum-valid entry, plus the max seq field seen anywhere."""
         journal = self.volume.layout.journal
+        count = max(0, (journal.end - journal.start) // JOURNAL_ENTRY)
+        # One untimed read of the whole journal region (mount path); only
+        # entries with a plausible pair count are checksummed.
+        raw = memoryview(self.device.buffer.load(journal.start, count * JOURNAL_ENTRY))
+        seqs = np.frombuffer(raw, dtype="<u8")[1 :: JOURNAL_ENTRY // 8]
+        max_seq = int(seqs.max()) if len(seqs) else 0
+        ns = np.frombuffer(raw, dtype="<u4")[1 :: JOURNAL_ENTRY // 4]
         entries = []
-        max_seq = 0
-        for off in range(journal.start, journal.end - JOURNAL_ENTRY + 1, JOURNAL_ENTRY):
-            raw = self.device.buffer.load(off, JOURNAL_ENTRY)  # untimed: mount path
-            crc, n = struct.unpack_from("<II", raw)
-            seq = struct.unpack_from("<Q", raw, 8)[0]
-            max_seq = max(max_seq, seq)
-            if not 1 <= n <= MAX_COMMIT_PAGES:
+        for idx in np.flatnonzero((ns >= 1) & (ns <= MAX_COMMIT_PAGES)).tolist():
+            pos = idx * JOURNAL_ENTRY
+            crc, n = struct.unpack_from("<II", raw, pos)
+            if crc != zlib.crc32(raw[pos + 4 : pos + 40 + 16 * n]) & 0xFFFFFFFF:
                 continue
-            if crc != zlib.crc32(raw[4 : 40 + 16 * n]) & 0xFFFFFFFF:
-                continue
-            _n, seq, fid, new_size, size_slot = _ENTRY_HEAD.unpack_from(raw, 4)
-            pairs = [_ENTRY_PAIR.unpack_from(raw, 40 + 16 * i) for i in range(n)]
-            entries.append((seq, off, fid, new_size, size_slot, pairs))
+            _n, seq, fid, new_size, size_slot = _ENTRY_HEAD.unpack_from(raw, pos + 4)
+            pairs = [_ENTRY_PAIR.unpack_from(raw, pos + 40 + 16 * i) for i in range(n)]
+            entries.append((seq, journal.start + pos, fid, new_size, size_slot, pairs))
         return entries, max_seq
 
     # -- mount / recovery --------------------------------------------------

@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.errors import AllocationError, FileExists, FileNotFound
 from repro.fsapi.layout import VolumeLayout
 from repro.nvm.device import NvmDevice
@@ -75,12 +77,15 @@ class Volume:
         """Rebuild the namespace from the superblock (post-crash path)."""
         volume = cls(device, layout)
         base = volume.layout.superblock.start + HEADER_SIZE
-        for slot_idx in range(volume._max_slots):
+        # One untimed read of the whole slot table (mount path); only
+        # slots carrying the live magic are unpacked.
+        table = device.buffer.load(base, volume._max_slots * SLOT_SIZE)
+        magics = np.frombuffer(table, dtype="<u4")[:: SLOT_SIZE // 4]
+        for slot_idx in np.flatnonzero(magics == INODE_MAGIC).tolist():
+            _magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack_from(
+                table, slot_idx * SLOT_SIZE
+            )
             slot_off = base + slot_idx * SLOT_SIZE
-            raw = device.buffer.load(slot_off, SLOT_SIZE)  # untimed: mount path
-            magic, fid, ext_base, cap, size, nt_off, nt_len, name = _SLOT.unpack(raw)
-            if magic != INODE_MAGIC:
-                continue
             inode = Inode(
                 id=fid,
                 name=name.rstrip(b"\0").decode("utf-8"),

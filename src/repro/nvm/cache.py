@@ -12,23 +12,51 @@ Semantics (matching x86 + ADR persistence):
 Word (8-byte) granularity is the atomicity unit: an aligned 8-byte store
 never tears, anything larger may persist partially.
 
-Representation (array-native core)
-==================================
+Representation
+==============
 
 The dirty (stored-not-flushed), pending (flushed-not-fenced) and touched
 (stored-since-durable) sets are cache-line/word-granular chunked bitmaps
 (:class:`repro.nvm.bitmap.RangeBitmap`) instead of sorted interval
-lists: a bulk store is a single ``bytearray`` slice assignment plus a
-few chunk-mask ORs, and scattered small stores OR one bit into one small
-int instead of splicing a Python list.  Bulk copies between the working
-and durable images go through persistent ``memoryview``\\ s so a fence
-moves bytes once (no intermediate slice materialisation).
+lists: a bulk store is a single slice assignment plus a few chunk-mask
+ORs, and scattered small stores OR one bit into one small int instead of
+splicing a Python list.
 
 ``pending`` and ``touched`` are additionally maintained *lazily*: the
 store paths append raw ranges to ``_pending_log``/``_touched_log`` and
 the logs are folded into the bitmaps only when set semantics are needed
 (fence-with-dirty, external inspection); the common fence replays the
 raw ranges directly (idempotent) and drops both wholesale.
+
+Images: one working buffer, durable = base + page overlay
+--------------------------------------------------------
+
+No image is copied or zeroed in full behind the caller's back, so
+booting, draining and imaging cost in proportion to the words touched,
+not to the device size:
+
+- The **working image** (what loads observe) is one contiguous writable
+  buffer, so the store/load hot path is a single slice copy. A booted
+  device gets one copy of its image; a fresh device a zero-filled
+  buffer (:func:`_zeroed`: demand-zero anonymous ``mmap`` above
+  :data:`_EAGER_ZERO_MAX`).
+- The **durable image** (what survives a crash) is a *base* under a
+  page-granular *overlay*, layered like a ``ChainMap``. A fresh
+  device's base is the zero page, held as a private :func:`_zeroed`
+  buffer that fences write in place: above the eager size the kernel
+  does the page-granular copy-on-write from the zero page itself. The
+  base of :meth:`StoreBuffer.from_image` is the caller's image, shared
+  and never written: page p reads from ``_pages[p]`` once a fence or
+  drain has written to it, from the image otherwise, and enters the
+  overlay as a copy of its image bytes.
+- A fence copies each pending run into the durable image (one slice per
+  run, or per overlay page it covers). :meth:`StoreBuffer.drain` copies
+  only the ``touched`` runs: ``touched`` always covers every word where
+  working and durable differ (see :meth:`StoreBuffer.fence`), so
+  everything else already agrees.
+- :meth:`StoreBuffer.crash_image` builds a full image in one pass:
+  base, overlay, then the chosen unfenced words. A booted device's
+  untouched durable image is its base, returned without a copy.
 
 The crash-image candidate set (``unfenced_words``) scans only touched
 runs — in ascending offset order, exactly the order the interval-based
@@ -39,8 +67,9 @@ memoized until the next mutation.
 
 from __future__ import annotations
 
+import mmap
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +90,32 @@ _WORD_MASK = -ATOMIC_UNIT
 #: (less constant overhead). Both scans emit words in ascending order.
 _VECTOR_SCAN_BYTES = 1024
 
+#: overlay page: the unit a durable image copies from a shared base
+_PAGE = 4096
+_PAGE_SHIFT = _PAGE.bit_length() - 1
+#: fresh images up to this size are zero-filled eagerly. glibc
+#: serves allocations this small from its heap, so the fill reuses
+#: resident memory, which is cheaper than a page fault per touched page
+#: once a workload touches more than a few percent of the device. Larger
+#: allocations come straight from mmap, where an eager fill would fault
+#: in every page, so those are demand-zero instead.
+_EAGER_ZERO_MAX = 32 << 20
+
+
+def _zeroed(size: int):
+    """A writable zero-filled buffer of *size* bytes; above
+    :data:`_EAGER_ZERO_MAX` its pages are only allocated when first
+    written (anonymous private ``mmap``, huge pages off so a scattered
+    write commits 4 KB, not 2 MB)."""
+    if size <= _EAGER_ZERO_MAX:
+        return bytearray(size)
+    if not hasattr(mmap, "MAP_PRIVATE"):  # Windows: pagefile-backed, lazily committed
+        return mmap.mmap(-1, size)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return buf
+
 
 def choose_persist_words(
     candidates: Sequence[int], rng: random.Random, persist_probability: float
@@ -73,18 +128,24 @@ def choose_persist_words(
 
 
 class StoreBuffer:
-    """Volatile view over a durable byte image."""
+    """Volatile view over a durable byte image (see the module docstring
+    for the working / base + overlay representation)."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, image: Optional[bytes] = None) -> None:
         self.size = size
-        self.working = bytearray(size)  # what loads observe
-        self.durable = bytearray(size)  # what survives a crash (fenced)
-        #: persistent views for single-pass bulk copies (a bytearray
-        #: slice on either side of an assignment would materialise an
-        #: intermediate copy). The arrays never resize, so the exported
-        #: buffers stay valid for the buffer's lifetime.
-        self._wmv = memoryview(self.working)
-        self._dmv = memoryview(self.durable)
+        #: what loads observe
+        self._working = _zeroed(size) if image is None else bytearray(image)
+        #: the durable base: a private zeroed buffer, written in place,
+        #: or a shared image, written through ``_pages`` (page index ->
+        #: that page's durable bytes); None while the base is private
+        self._base = _zeroed(size) if image is None else image
+        self._pages: Optional[Dict[int, bytearray]] = None if image is None else {}
+        #: persistent views for single-pass bulk copies (a slice on
+        #: either side of an assignment would materialise an
+        #: intermediate copy). The buffers never resize, so the views
+        #: stay valid for the buffer's lifetime.
+        self._wmv = memoryview(self._working)
+        self._bmv = memoryview(self._base)
         self.dirty = RangeBitmap(CACHE_LINE)  # stored, not flushed
         #: flushed, not fenced. Like ``touched``, maintained lazily: the
         #: non-temporal store paths append line-aligned ranges to
@@ -102,6 +163,18 @@ class StoreBuffer:
         self.touched = RangeBitmap(ATOMIC_UNIT)
         self._touched_log: List[tuple] = []
         self._uw_cache: Optional[List[int]] = None
+
+    @classmethod
+    def from_image(cls, image: bytes) -> "StoreBuffer":
+        """A buffer whose working and durable images both equal *image*.
+
+        The image becomes the durable base without a copy (any other
+        buffer type is copied to ``bytes`` first, so later writes to it
+        cannot leak in); the working image is its one copy.
+        """
+        if type(image) is not bytes:
+            image = bytes(image)
+        return cls(len(image), image)
 
     def _consolidate_touched(self) -> RangeBitmap:
         log = self._touched_log
@@ -136,7 +209,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        self._working[offset:end] = data
         self.dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
         self._touched_log.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
         self._uw_cache = None
@@ -152,7 +225,7 @@ class StoreBuffer:
             if offset < 0 or offset + len(data) > size:
                 end = offset + len(data)
                 raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self.working
+        working = self._working
         dirty = self.dirty
         tlog = self._touched_log
         total = 0
@@ -175,7 +248,7 @@ class StoreBuffer:
         end = offset + len(data)
         if offset < 0 or end > self.size:
             raise OutOfRangeError(f"store [{offset}, {end}) outside device of {self.size}")
-        self.working[offset:end] = data
+        self._working[offset:end] = data
         start = offset & _LINE_MASK
         aend = (end + _LINE - 1) & _LINE_MASK
         if self.dirty:
@@ -193,7 +266,7 @@ class StoreBuffer:
             if offset < 0 or offset + len(data) > size:
                 end = offset + len(data)
                 raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self.working
+        working = self._working
         # A batch only removes from dirty, so emptiness checked once holds.
         dirty = self.dirty if self.dirty else None
         plog = self._pending_log
@@ -221,7 +294,7 @@ class StoreBuffer:
             raise TornWriteError(f"atomic store at unaligned offset {offset}")
         if offset < 0 or offset + 8 > self.size:
             raise OutOfRangeError(f"store at {offset} outside device of {self.size}")
-        self.working[offset : offset + 8] = value.to_bytes(8, "little")
+        self._working[offset : offset + 8] = value.to_bytes(8, "little")
         line = offset & _LINE_MASK
         if self.dirty:
             self.dirty.remove(line, line + _LINE)
@@ -235,7 +308,7 @@ class StoreBuffer:
         every word up front and raises before mutating anything (see
         :meth:`store_v`), so a caller can fall back to the per-element
         path for exact partial-application semantics."""
-        working = self.working
+        working = self._working
         size = self.size
         for offset, _value in words:
             if offset % ATOMIC_UNIT != 0:
@@ -315,10 +388,61 @@ class StoreBuffer:
                 redundant += 1
         return lines, redundant
 
+    def _make_durable(self, runs: Iterable[Tuple[int, int]]) -> None:
+        """Copy the working bytes of each [start, end) run into the
+        durable image: in place over a private base, else into overlay
+        pages, one slice per page (a page's first write copies it in
+        from the shared base)."""
+        wmv = self._wmv
+        pages = self._pages
+        if pages is None:
+            bmv = self._bmv
+            for start, end in runs:
+                bmv[start:end] = wmv[start:end]
+            return
+        size = self.size
+        for start, end in runs:
+            end = min(end, size)
+            while start < end:
+                page = start >> _PAGE_SHIFT
+                lo = page << _PAGE_SHIFT
+                hi = min(lo + _PAGE, end)
+                chunk = pages.get(page)
+                if chunk is None:
+                    chunk = pages[page] = bytearray(self._bmv[lo : min(lo + _PAGE, size)])
+                chunk[start - lo : hi - lo] = wmv[start:hi]
+                start = hi
+
+    def _durable_pieces(self, start: int, end: int) -> List[Tuple[int, memoryview]]:
+        """``(lo, view)`` pairs tiling [start, end) in order: ``view``
+        holds the durable bytes from offset ``lo`` on, taken from an
+        overlay page or from the base."""
+        end = min(end, self.size)
+        pages = self._pages
+        if not pages:
+            return [(start, self._bmv[start:end])]
+        first = start >> _PAGE_SHIFT
+        last = (end - 1) >> _PAGE_SHIFT
+        if last - first < len(pages):
+            own = [p for p in range(first, last + 1) if p in pages]
+        else:
+            own = sorted(p for p in pages if first <= p <= last)
+        pieces = []
+        pos = start
+        for page in own:
+            lo = page << _PAGE_SHIFT
+            if pos < lo:
+                pieces.append((pos, self._bmv[pos:lo]))
+                pos = lo
+            hi = min(lo + _PAGE, end)
+            pieces.append((pos, memoryview(pages[page])[pos - lo : hi - lo]))
+            pos = hi
+        if pos < end:
+            pieces.append((pos, self._bmv[pos:end]))
+        return pieces
+
     def fence(self) -> None:
         """sfence: everything previously flushed becomes durable."""
-        wmv = self._wmv
-        dmv = self._dmv
         if not self.dirty:
             # Common case: every store since the last fence was also
             # flushed, so the popped pending set covers all of touched
@@ -327,11 +451,9 @@ class StoreBuffer:
             # overlapping ranges just copy the same bytes twice.
             pending = self.pending
             if pending:
-                for start, end in pending.runs():
-                    dmv[start:end] = wmv[start:end]
+                self._make_durable(pending.runs())
                 pending.clear()
-            for start, end in self._pending_log:
-                dmv[start:end] = wmv[start:end]
+            self._make_durable(self._pending_log)
             self._pending_log.clear()
             if self.touched:
                 self.touched.clear()
@@ -340,8 +462,9 @@ class StoreBuffer:
             return
         dirty = self.dirty
         touched = self._consolidate_touched()
-        for start, end in self._consolidate_pending().pop_runs():
-            dmv[start:end] = wmv[start:end]
+        runs = self._consolidate_pending().pop_runs()
+        self._make_durable(runs)
+        for start, end in runs:
             # The fenced words now match durably; keep only the parts
             # that were re-dirtied after the flush as crash candidates.
             if touched.overlaps(start, end):
@@ -357,14 +480,19 @@ class StoreBuffer:
         return nlines
 
     def drain(self) -> None:
-        """Make the entire working image durable (orderly shutdown)."""
+        """Make the entire working image durable (orderly shutdown).
+
+        Copies only the touched runs: they cover every word where the
+        working and durable images differ; everywhere else they agree.
+        """
+        self._make_durable(self._touched_log)
+        self._make_durable(self.touched.runs())
         self.dirty.clear()
         self.pending.clear()
         self._pending_log.clear()
         self.touched.clear()
         self._touched_log.clear()
         self._uw_cache = None
-        self.durable[:] = self.working
 
     # -- crash-image composition ------------------------------------------
 
@@ -372,21 +500,22 @@ class StoreBuffer:
         """Append offsets of words differing between working and durable
         inside [start, end), ascending. Long runs use one vectorized
         uint64 compare; short runs use the per-word loop — same output."""
-        if end - start >= _VECTOR_SCAN_BYTES:
-            n = (end - start) >> 3
-            w = np.frombuffer(self.working, dtype=np.uint64, count=n, offset=start)
-            d = np.frombuffer(self.durable, dtype=np.uint64, count=n, offset=start)
-            diff = np.flatnonzero(w != d)
-            if len(diff):
-                words.extend((start + (diff << 3)).tolist())
-            return
-        working = self.working
-        durable = self.durable
-        if working[start:end] == durable[start:end]:
-            return
-        for off in range(start, end, ATOMIC_UNIT):
-            if working[off : off + 8] != durable[off : off + 8]:
-                words.append(off)
+        for lo, view in self._durable_pieces(start, end):
+            if len(view) >= _VECTOR_SCAN_BYTES:
+                n = len(view) >> 3
+                w = np.frombuffer(self._working, dtype=np.uint64, count=n, offset=lo)
+                d = np.frombuffer(view, dtype=np.uint64, count=n)
+                diff = np.flatnonzero(w != d)
+                if len(diff):
+                    words.extend((lo + (diff << 3)).tolist())
+                continue
+            working = self._working[lo : lo + len(view)]
+            durable = bytes(view)
+            if working == durable:
+                continue
+            for off in range(0, len(view), ATOMIC_UNIT):
+                if working[off : off + 8] != durable[off : off + 8]:
+                    words.append(lo + off)
 
     def unfenced_words(self) -> List[int]:
         """Offsets of every 8-byte word that differs between the working
@@ -409,10 +538,11 @@ class StoreBuffer:
         reports the identical word set.
         """
         words: List[int] = []
+        durable = self.snapshot_durable()
         for line_bitmap in (self.dirty, self._consolidate_pending()):
             for start, end in line_bitmap.runs():
                 for off in range(start, end, ATOMIC_UNIT):
-                    if self.working[off : off + 8] != self.durable[off : off + 8]:
+                    if self._working[off : off + 8] != durable[off : off + 8]:
                         words.append(off)
         return sorted(set(words))
 
@@ -421,7 +551,7 @@ class StoreBuffer:
         persist_words: Optional[Iterable[int]] = None,
         rng: Optional[random.Random] = None,
         persist_probability: float = 0.5,
-    ) -> bytearray:
+    ) -> bytes:
         """Compose a possible post-crash image.
 
         - With ``persist_words``, exactly those unfenced words are taken
@@ -429,21 +559,43 @@ class StoreBuffer:
         - Otherwise each unfenced word independently persists with
           ``persist_probability`` using ``rng`` (default: fresh RNG).
         """
-        image = bytearray(self.durable)
         candidates = self.unfenced_words()
         if persist_words is not None:
             chosen = set(persist_words)
             unknown = chosen.difference(candidates)
             if unknown:
                 raise OutOfRangeError(f"words {sorted(unknown)} are not unfenced")
+            chosen = sorted(chosen)
         else:
             # analysis: allow(ambient-nondeterminism) -- exploratory default only; every replayable caller passes a seeded rng
             rng = rng or random.Random()
             chosen = choose_persist_words(candidates, rng, persist_probability)
-        for off in chosen:
-            image[off : off + 8] = self.working[off : off + 8]
-        return image
+        return self._compose(chosen)
+
+    def _compose(self, words: Sequence[int]) -> bytes:
+        """The durable image with the ascending unfenced *words* taken
+        from the working image, built in one pass: base, overlay, words."""
+        if not words and self._pages == {}:
+            return self._base  # a shared image nothing was made durable over
+        wmv = self._wmv
+        pieces = []
+        i = 0
+        for lo, view in self._durable_pieces(0, self.size):
+            hi = lo + len(view)
+            pos = lo
+            while i < len(words) and words[i] < hi:
+                word = words[i]
+                pieces.append(view[pos - lo : word - lo])
+                pieces.append(wmv[word : word + ATOMIC_UNIT])
+                pos = word + ATOMIC_UNIT
+                i += 1
+            pieces.append(view[pos - lo :])
+        return b"".join(pieces)
 
     def snapshot_durable(self) -> bytes:
         """The image with *no* eviction of unfenced lines (kindest crash)."""
-        return bytes(self.durable)
+        return self._compose(())
+
+    def snapshot_working(self) -> bytes:
+        """The image loads observe: every store applied."""
+        return bytes(self._wmv)

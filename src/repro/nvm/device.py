@@ -110,11 +110,12 @@ class NvmDevice:
         size: int,
         timing: Optional[TimingModel] = None,
         name: str = "pmem0",
+        buffer: Optional[StoreBuffer] = None,
     ) -> None:
         self.size = size
         self.name = name
         self.timing = timing or OptaneTiming()
-        self.buffer = StoreBuffer(size)
+        self.buffer = StoreBuffer(size) if buffer is None else buffer
         self.stats = DeviceStats()
         self.tracer = None  # duck-typed: io_write / io_read / io_flush / io_fence
         self.observers: List[DeviceObserver] = []
@@ -389,7 +390,7 @@ class NvmDevice:
         persist_words: Optional[Iterable[int]] = None,
         rng: Optional[random.Random] = None,
         persist_probability: float = 0.5,
-    ) -> bytearray:
+    ) -> bytes:
         """A possible post-crash content of the medium (see StoreBuffer)."""
         return self.buffer.crash_image(persist_words, rng, persist_probability)
 
@@ -407,11 +408,13 @@ class NvmDevice:
     def from_image(
         cls, image: bytes, timing: Optional[TimingModel] = None, name: str = "pmem0"
     ) -> "NvmDevice":
-        """Boot a device from a crash image (the recovered machine)."""
-        device = cls(len(image), timing=timing, name=name)
-        device.buffer.working[:] = image
-        device.buffer.durable[:] = image
-        return device
+        """Boot a device from a crash image (the recovered machine).
+
+        The image is shared as the durable base, not copied (see
+        :meth:`StoreBuffer.from_image`).
+        """
+        buffer = StoreBuffer.from_image(image)
+        return cls(buffer.size, timing=timing, name=name, buffer=buffer)
 
     # -- derived accounting --------------------------------------------------
 

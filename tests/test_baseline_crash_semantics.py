@@ -32,7 +32,7 @@ class TestExt4PageCache:
         f.write(0, b"volatile page cache")
         dev = crash_image(fs, p=1.0)  # even the kindest crash
         base = f.inode.base
-        assert bytes(dev.buffer.working[base : base + 8]) == b"\0" * 8
+        assert dev.buffer.load(base, 8) == b"\0" * 8
 
     def test_synced_data_survives(self):
         fs = Ext4(device_size=64 << 20, mode="ordered")
@@ -40,7 +40,7 @@ class TestExt4PageCache:
         f.write(0, b"synced")
         f.fsync()
         dev = crash_image(fs, p=0.0)  # the harshest crash
-        assert bytes(dev.buffer.working[f.inode.base : f.inode.base + 6]) == b"synced"
+        assert dev.buffer.load(f.inode.base, 6) == b"synced"
 
 
 class TestExt4DaxTearing:
@@ -56,7 +56,7 @@ class TestExt4DaxTearing:
         words = fs.device.unfenced_words()
         half = words[: len(words) // 2]
         dev = NvmDevice.from_image(bytes(fs.device.crash_image(persist_words=half)))
-        region = bytes(dev.buffer.working[f.inode.base : f.inode.base + 256])
+        region = dev.buffer.load(f.inode.base, 256)
         assert b"A" in region and b"B" in region  # torn!
 
 
@@ -72,7 +72,7 @@ class TestLibnvmmioFsyncGranularity:
         f.write(0, b"NEW" * 1000)  # logged, unsynced
         dev = crash_image(fs, p=0.0)
         base = f.inode.base
-        assert bytes(dev.buffer.working[base : base + 3]) == b"OLD"
+        assert dev.buffer.load(base, 3) == b"OLD"
 
     def test_synced_epoch_durable(self):
         fs = Libnvmmio(device_size=64 << 20)
@@ -80,7 +80,7 @@ class TestLibnvmmioFsyncGranularity:
         f.write(0, b"EPOCH")
         f.fsync()
         dev = crash_image(fs, p=0.0)
-        assert bytes(dev.buffer.working[f.inode.base : f.inode.base + 5]) == b"EPOCH"
+        assert dev.buffer.load(f.inode.base, 5) == b"EPOCH"
 
     def test_undo_epoch_writes_hit_file_before_sync(self):
         """The undo policy's trade-off: in-place writes are visible in
@@ -97,7 +97,7 @@ class TestLibnvmmioFsyncGranularity:
         fs.device.drain()
         f.write(0, b"inplace!")
         dev = crash_image(fs, p=1.0)
-        assert bytes(dev.buffer.working[f.inode.base : f.inode.base + 8]) == b"inplace!"
+        assert dev.buffer.load(f.inode.base, 8) == b"inplace!"
 
 
 class TestNovaPerOpAtomicity:

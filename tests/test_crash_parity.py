@@ -92,8 +92,8 @@ class TestEnumerationParity:
         run_ops(armed)
         run_ops(unarmed)
         assert stats_tuple(armed) == stats_tuple(unarmed)
-        assert bytes(armed.buffer.working) == bytes(unarmed.buffer.working)
-        assert bytes(armed.buffer.durable) == bytes(unarmed.buffer.durable)
+        assert armed.buffer.snapshot_working() == unarmed.buffer.snapshot_working()
+        assert armed.buffer.snapshot_durable() == unarmed.buffer.snapshot_durable()
 
     def test_every_enumerated_point_fires(self):
         census_device = NvmDevice(SIZE)
@@ -142,8 +142,8 @@ class TestPartialBatchEquivalence:
         (batched, crashed_b), (unbatched, crashed_u) = pair
         assert crashed_b == crashed_u
         assert stats_tuple(batched) == stats_tuple(unbatched)
-        assert bytes(batched.buffer.working) == bytes(unbatched.buffer.working)
-        assert bytes(batched.buffer.durable) == bytes(unbatched.buffer.durable)
+        assert batched.buffer.snapshot_working() == unbatched.buffer.snapshot_working()
+        assert batched.buffer.snapshot_durable() == unbatched.buffer.snapshot_durable()
         assert batched.unfenced_words() == unbatched.unfenced_words()
 
     @pytest.mark.parametrize("crash_after", range(len(WRITES) + 1))
@@ -199,4 +199,4 @@ class TestPartialBatchEquivalence:
         armed.store_word_v(WORDS)
         unarmed.store_word_v(WORDS)
         assert stats_tuple(armed) == stats_tuple(unarmed)
-        assert bytes(armed.buffer.working) == bytes(unarmed.buffer.working)
+        assert armed.buffer.snapshot_working() == unarmed.buffer.snapshot_working()

@@ -106,6 +106,48 @@ class TestRandomPolicyDeterminism:
         assert keep != drop  # a mid-write crash has unfenced words
 
 
+class TestLibnvmmioCheck:
+    """The fsync-granular byte oracle reports the first byte that reads
+    neither its last-synced nor its latest-written value."""
+
+    def crashed(self):
+        workload = get_workload("libnvmmio-fio")
+        outcome = workload.run("sync", CrashPlan(175))
+        assert outcome.crashed
+        image = compose_image(outcome.fs.device, CrashPolicy.KEEP_ALL)
+        return workload, outcome, image, outcome.fs.volume.lookup("l").base
+
+    @staticmethod
+    def illegal(oracle, i):
+        return next(v for v in range(256) if v not in (oracle.synced[i], oracle.current[i]))
+
+    def test_crash_image_passes(self):
+        workload, outcome, image, _base = self.crashed()
+        assert workload.check(image, "sync", outcome.oracles) == []
+
+    def test_mixed_synced_and_latest_bytes_pass(self):
+        workload, outcome, image, base = self.crashed()
+        oracle = outcome.oracles["l"]
+        mixed = bytearray(image)
+        differ = [i for i in range(oracle.capacity) if oracle.synced[i] != oracle.current[i]]
+        assert len(differ) > 2
+        for k, i in enumerate(differ):
+            mixed[base + i] = (oracle.synced, oracle.current)[k % 2][i]
+        assert workload.check(bytes(mixed), "sync", outcome.oracles) == []
+
+    def test_corrupted_image_reports_first_bad_byte(self):
+        workload, outcome, image, base = self.crashed()
+        oracle = outcome.oracles["l"]
+        corrupt = bytearray(image)
+        for i in (70_000, 513, 40_000):
+            corrupt[base + i] = self.illegal(oracle, i)
+        expected = (
+            f"l: byte 513 reads {self.illegal(oracle, 513)}, neither last-synced "
+            f"({oracle.synced[513]}) nor latest-written ({oracle.current[513]})"
+        )
+        assert workload.check(bytes(corrupt), "sync", outcome.oracles) == [expected]
+
+
 class TestMinimizer:
     def test_shrinks_to_failing_core(self, monkeypatch):
         """With a checker that fails iff one specific word persisted, the
@@ -189,7 +231,7 @@ class TestRecoveryIdempotence:
     def final_image(self, image: bytes) -> bytes:
         fs, _ = recover(NvmDevice.from_image(image), config=MgspConfig(degree=16))
         fs.device.drain()
-        return bytes(fs.device.buffer.durable)
+        return fs.device.buffer.snapshot_durable()
 
     def test_crashed_recovery_reruns_to_same_image(self):
         for image in self.crash_images():

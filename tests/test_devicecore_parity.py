@@ -30,8 +30,8 @@ def full_stats(device):
 def buffer_state(device):
     buf = device.buffer
     return (
-        bytes(buf.working),
-        bytes(buf.durable),
+        buf.snapshot_working(),
+        buf.snapshot_durable(),
         buf.unfenced_words(),
         buf.has_pending(),
     )

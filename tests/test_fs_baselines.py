@@ -161,10 +161,10 @@ class TestLibnvmmio:
         fs.device.drain()
         f.write(0, b"logged")
         # Data sits in the log, not the file, until fsync.
-        assert bytes(fs.device.buffer.working[f.inode.base : f.inode.base + 6]) == b"\0" * 6
+        assert fs.device.buffer.load(f.inode.base, 6) == b"\0" * 6
         assert f.read(0, 6) == b"logged"
         f.fsync()
-        assert bytes(fs.device.buffer.working[f.inode.base : f.inode.base + 6]) == b"logged"
+        assert fs.device.buffer.load(f.inode.base, 6) == b"logged"
 
     def test_sync_doubles_write_traffic(self):
         fs = Libnvmmio(device_size=64 << 20)

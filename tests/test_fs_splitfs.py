@@ -24,10 +24,10 @@ class TestStaging:
         fs.device.drain()
         f.write(0, b"staged")
         # Target file untouched before fsync.
-        assert fs.device.buffer.working[f.inode.base : f.inode.base + 6] == bytearray(6)
+        assert fs.device.buffer.load(f.inode.base, 6) == bytes(6)
         assert f.read(0, 6) == b"staged"  # reads merge staging
         f.fsync()
-        assert bytes(fs.device.buffer.working[f.inode.base : f.inode.base + 6]) == b"staged"
+        assert fs.device.buffer.load(f.inode.base, 6) == b"staged"
 
     def test_relink_moves_no_data_through_the_api(self, split):
         """Relink is metadata-only: device stored_bytes barely grow."""

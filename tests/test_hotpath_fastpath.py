@@ -105,8 +105,8 @@ def _run_sequence(fast_path: bool, detach_tracer: bool):
         f.write(off, bytes([(i * 3 + j) % 251 for j in range(size)]))
         if i % 83 == 5:
             f.checkpoint()
-    image = bytes(fs.device.buffer.working)
-    durable = bytes(fs.device.buffer.durable)
+    image = fs.device.buffer.snapshot_working()
+    durable = fs.device.buffer.snapshot_durable()
     stats = vars(fs.device.stats).copy()
     return image, durable, stats
 

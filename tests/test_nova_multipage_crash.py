@@ -67,10 +67,10 @@ class TestJournalChunking:
         fs, handle = mounted()
         handle.write(0, b"\xcd" * (6 * PAGE))
         fs.device.drain()
-        image = bytes(fs.device.buffer.durable)
+        image = fs.device.buffer.snapshot_durable()
         recovered = Nova.recover(NvmDevice.from_image(image))
         recovered.device.drain()
-        assert bytes(recovered.device.buffer.durable) == image
+        assert recovered.device.buffer.snapshot_durable() == image
 
 
 class TestExhaustiveBurstSweep:
@@ -161,7 +161,7 @@ class TestScannerGuards:
         # fabricate an *unretired* old entry describing a 1-page file
         fs._journal_append(inode, PAGE, [(0, handle.page_table[0], 0)])
         fs.device.drain()
-        recovered = Nova.recover(NvmDevice.from_image(bytes(fs.device.buffer.durable)))
+        recovered = Nova.recover(NvmDevice.from_image(fs.device.buffer.snapshot_durable()))
         assert recovered.open("f").size == 2 * PAGE
 
     def test_recover_is_idempotent_with_live_entry(self):
@@ -170,11 +170,11 @@ class TestScannerGuards:
         d1 = NvmDevice.from_image(image)
         Nova.recover(d1)
         d1.drain()
-        first = bytes(d1.buffer.durable)
+        first = d1.buffer.snapshot_durable()
         d2 = NvmDevice.from_image(first)
         Nova.recover(d2)
         d2.drain()
-        assert bytes(d2.buffer.durable) == first
+        assert d2.buffer.snapshot_durable() == first
 
     def test_seq_continues_after_remount(self):
         """Remount must resume the sequence past every seq in the
@@ -184,5 +184,5 @@ class TestScannerGuards:
         handle.write(0, b"\x44" * PAGE)
         fs.device.drain()
         before = fs._journal_seq
-        remounted = Nova.remount(NvmDevice.from_image(bytes(fs.device.buffer.durable)))
+        remounted = Nova.remount(NvmDevice.from_image(fs.device.buffer.snapshot_durable()))
         assert remounted._journal_seq >= before

@@ -157,4 +157,4 @@ class TestCrashImages:
         end = ((offset + len(data) + 7) // 8) * 8
         for w in range(start, end, 8):
             word = bytes(image[w : w + 8])
-            assert word in (b"\0" * 8, bytes(buf.working[w : w + 8]))
+            assert word in (b"\0" * 8, buf.load(w, 8))

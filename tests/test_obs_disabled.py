@@ -50,7 +50,7 @@ def test_telemetry_does_not_perturb_crash_images():
     # And the fully-persisted images match as well.
     plain.fs.device.drain()
     observed.fs.device.drain()
-    assert bytes(plain.fs.device.buffer.durable) == bytes(observed.fs.device.buffer.durable)
+    assert plain.fs.device.buffer.snapshot_durable() == observed.fs.device.buffer.snapshot_durable()
 
 
 def test_telemetry_on_runs_are_reproducible():

@@ -131,10 +131,10 @@ class TestRecoveryCleanImages:
         queue.enqueue(b"live" * 2)
         PersistentQueue.recover(device, BASE)
         device.drain()
-        first = bytes(device.buffer.durable)
+        first = device.buffer.snapshot_durable()
         PersistentQueue.recover(device, BASE)
         device.drain()
-        assert bytes(device.buffer.durable) == first
+        assert device.buffer.snapshot_durable() == first
 
     def test_recovered_queue_keeps_working(self):
         """Sequence numbers continue past the recovered high-water mark
