@@ -159,7 +159,7 @@ def recovery_experiment(file_size: int = 64 << 20) -> str:
     except CrashRequested:
         pass
     image = fs.device.crash_image(rng=random.Random(3))
-    _, stats = recover(NvmDevice.from_image(bytes(image)), config=config)
+    _, stats = recover(NvmDevice.from_image(image), config=config)
     return (
         "Recovery (§III-D)\n"
         f"  writes before crash : {writes:,}\n"

@@ -134,7 +134,7 @@ def minimize_failure(
     i = 0
     while i < len(words):
         trial = words[:i] + words[i + 1 :]
-        image = bytes(device.crash_image(persist_words=trial))
+        image = device.crash_image(persist_words=trial)
         check = checker if checker is not None else check_image
         if check(image, config_name, oracles, idempotence=idempotence):
             words = trial

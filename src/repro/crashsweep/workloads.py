@@ -433,7 +433,7 @@ class NovaSweepWorkload(SweepWorkload):
 
         violations: List[str] = []
         try:
-            fs = Nova.recover(NvmDevice.from_image(bytes(image)))
+            fs = Nova.recover(NvmDevice.from_image(image))
         except Exception as exc:
             return [f"NOVA recovery raised {type(exc).__name__}: {exc}"]
         for name, oracle in oracles.items():
@@ -540,7 +540,7 @@ class LibnvmmioSweepWorkload(SweepWorkload):
         from repro.fsapi.volume import Volume
 
         violations: List[str] = []
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         try:
             volume = Volume.mount(
                 device,
@@ -711,7 +711,7 @@ class PqueueSweepWorkload(SweepWorkload):
         violations: List[str] = []
         oracle: QueueOracle = oracles["queue"]
         sync = config_name == "sync"
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         try:
             queue = PersistentQueue.recover(device, PQUEUE_BASE, sync=sync)
         except Exception as exc:
@@ -733,7 +733,7 @@ class PqueueSweepWorkload(SweepWorkload):
             violations.append("dequeue drain order diverges from the live-item scan")
         if idempotence:
             try:
-                d1 = NvmDevice.from_image(bytes(image))
+                d1 = NvmDevice.from_image(image)
                 PersistentQueue.recover(d1, PQUEUE_BASE, sync=sync)
                 d1.drain()
                 first = d1.buffer.snapshot_durable()

@@ -82,7 +82,7 @@ class ToyMisorderedWorkload(SweepWorkload):
                 device.persist(DATA0 + i * RECSZ, RECSZ)
 
     def check(self, image, config_name, oracles, idempotence: bool = True):
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         violations = []
         for i in range(NREC):
             seq = i + 1

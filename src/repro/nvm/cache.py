@@ -93,13 +93,20 @@ _VECTOR_SCAN_BYTES = 1024
 #: overlay page: the unit a durable image copies from a shared base
 _PAGE = 4096
 _PAGE_SHIFT = _PAGE.bit_length() - 1
-#: fresh images up to this size are zero-filled eagerly. glibc
-#: serves allocations this small from its heap, so the fill reuses
-#: resident memory, which is cheaper than a page fault per touched page
-#: once a workload touches more than a few percent of the device. Larger
-#: allocations come straight from mmap, where an eager fill would fault
-#: in every page, so those are demand-zero instead.
-_EAGER_ZERO_MAX = 32 << 20
+#: fresh images up to this size are zero-filled when made, larger ones
+#: are demand-zero. A device that touches most of its pages takes a page
+#: fault per page either way, and filling it when made keeps those
+#: faults out of the run that follows (a small buffer, served from the
+#: allocator's heap, may take none). A device that touches few pages
+#: saves the faults and the resident memory by being demand-zero. The
+#: touched share is unknown when a device is made, so the size stands in
+#: for it. The benchmark's devices are dense and stay eager: a crashsweep
+#: unit's 4 MB device; fio-mgsp-mixed's 64 MB device (setup writes 25%
+#: of its pages, a measured round writes 49% and reads 43%);
+#: service-1000t's two 64 MB shards (49% written at setup, 11% per
+#: round). A sparse large device (256 MB touched by 1000 small stores:
+#: 1.5% of its pages) is demand-zero.
+_EAGER_ZERO_MAX = 64 << 20
 
 
 def _zeroed(size: int):

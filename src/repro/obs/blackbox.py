@@ -113,16 +113,14 @@ def capture(
         persist_words=persist_words,
     )
     if policy is not None and persist_words is None:
-        image = bytes(
-            compose_image(
-                device,
-                policy,
-                seed=point_seed(seed, crash_after),
-                persist_probability=PERSIST_PROBABILITY,
-            )
+        image = compose_image(
+            device,
+            policy,
+            seed=point_seed(seed, crash_after),
+            persist_probability=PERSIST_PROBABILITY,
         )
     else:
-        image = bytes(device.crash_image(persist_words=kept))
+        image = device.crash_image(persist_words=kept)
     found = (
         list(workload.check(image, config_name, outcome.oracles))
         if outcome.crashed

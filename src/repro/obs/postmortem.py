@@ -157,7 +157,7 @@ def analyze(bundle: Dict[str, object]) -> Dict[str, object]:
         device, policy, seed, crash_after, persist_words=persist_words
     )
     dropped = sorted(set(candidates) - set(kept))
-    image = bytes(device.crash_image(persist_words=kept))
+    image = device.crash_image(persist_words=kept)
     violations = (
         list(workload.check(image, config_name, outcome.oracles))
         if outcome.crashed

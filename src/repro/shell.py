@@ -93,7 +93,7 @@ class Shell:
         image = self.fs.device.crash_image(
             rng=self.rng, persist_probability=float(probability)
         )
-        device = NvmDevice.from_image(bytes(image))
+        device = NvmDevice.from_image(image)
         self.fs, stats = recover(device)
         self.handles.clear()
         return (
