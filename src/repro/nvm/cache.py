@@ -371,16 +371,16 @@ class StoreBuffer:
             self.dirty.remove(start, end)
         return nlines
 
-    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
-        """Bulk :meth:`flush`; returns (total lines, redundant calls) —
-        a call is redundant when every covered line was already clean."""
-        lines = 0
-        redundant = 0
+    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> List[int]:
+        """Bulk :meth:`flush`; returns the lines each range queued, in
+        order (0 for a redundant call, whose covered lines were all
+        already clean)."""
+        counts = []
         dirty = self.dirty
         plog = self._pending_log
         for offset, length in ranges:
             if not dirty:
-                redundant += 1
+                counts.append(0)
                 continue
             start = offset & _LINE_MASK
             end = (offset + length + _LINE - 1) & _LINE_MASK
@@ -390,10 +390,8 @@ class StoreBuffer:
                 nlines += (e - s) >> _LINE_SHIFT
             if nlines:
                 dirty.remove(start, end)
-                lines += nlines
-            else:
-                redundant += 1
-        return lines, redundant
+            counts.append(nlines)
+        return counts
 
     def _make_durable(self, runs: Iterable[Tuple[int, int]]) -> None:
         """Copy the working bytes of each [start, end) run into the

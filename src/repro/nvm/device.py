@@ -166,27 +166,33 @@ class NvmDevice:
     # index, one crash-plan event, and one tracer segment), so
     # DeviceStats, trace costs, and crash-point enumeration are
     # byte-for-byte identical to a loop of single-op calls — the batching
-    # only removes interpreter overhead. Batch totals are committed in
-    # ``finally`` blocks so that a CrashRequested fired *inside* a batch
-    # leaves the counters exactly where the equivalent unbatched sequence
-    # would.
+    # only removes interpreter overhead. The bulk buffer path is taken
+    # whenever no crash plan is armed and no observer is attached: both
+    # act per event, between elements. A tracer only prices segments,
+    # so on the bulk path it is fed the same per-element calls, in the
+    # same order, after the buffer call succeeds. Batch totals on the
+    # per-element loop are committed in ``finally`` blocks so that a
+    # CrashRequested fired *inside* a batch leaves the counters exactly
+    # where the equivalent unbatched sequence would.
 
     def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
         """Vectorized cached store of (offset, data) pairs.
 
-        With nothing attached, the whole batch is one bulk buffer call
-        (identical per-element state transitions, no per-element Python
-        dispatch). The bulk path validates *before* mutating, so on a bad
-        element we fall through to the per-element loop to reproduce
-        exact partial-application semantics: same prefix applied, same
-        counters, same exception.
+        With no crash plan or observer attached, the whole batch is one
+        bulk buffer call (identical per-element state transitions, no
+        per-element Python dispatch), and a tracer then gets one
+        ``io_cached`` per element. The bulk path validates *before*
+        mutating, so on a bad element we fall through to the per-element
+        loop to reproduce exact partial-application semantics: same
+        prefix applied, same counters, same tracer segments, same
+        exception.
         """
         crash_plan = self.crash_plan
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
         observers = self.observers
-        if crash_plan is None and tracer is None and not observers:
+        if crash_plan is None and not observers:
             try:
                 total = buffer.store_v(writes)
             except OutOfRangeError:
@@ -195,6 +201,10 @@ class NvmDevice:
                 stats.stores += len(writes)
                 stats.stored_bytes += total
                 self.event_index += len(writes)
+                if tracer is not None:
+                    io_cached = tracer.io_cached
+                    for _offset, data in writes:
+                        io_cached(len(data))
                 return
         total = 0
         try:
@@ -215,14 +225,15 @@ class NvmDevice:
     def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
         """Vectorized non-temporal store of (offset, data) pairs.
 
-        Same bulk/fallback structure as :meth:`store_v`.
+        Same bulk/fallback structure as :meth:`store_v`; a tracer gets
+        one ``io_write`` per element.
         """
         crash_plan = self.crash_plan
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
         observers = self.observers
-        if crash_plan is None and tracer is None and not observers:
+        if crash_plan is None and not observers:
             try:
                 # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
                 total, lines = buffer.nt_store_v(writes)
@@ -233,6 +244,10 @@ class NvmDevice:
                 stats.stored_bytes += total
                 stats.flushed_lines += lines
                 self.event_index += len(writes)
+                if tracer is not None:
+                    io_write = tracer.io_write
+                    for _offset, data in writes:
+                        io_write(len(data))
                 return
         total = 0
         lines = 0
@@ -257,21 +272,22 @@ class NvmDevice:
         """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
         pairs — the metadata-word commit pattern.
 
-        With a crash plan, tracer or observer attached this delegates to
-        the exact two-step primitives so crash-event enumeration, trace
-        segments and published events stay byte-identical. Otherwise the
-        pair is fused through the buffer's non-temporal store: the net
-        effect on working/dirty/pending/touched state, on DeviceStats and
-        on the event index (two per word) is provably the same (the
+        With a crash plan or observer attached this delegates to the
+        exact two-step primitives so crash-event enumeration and
+        published events stay byte-identical. Otherwise the pair is
+        fused through the buffer's non-temporal store: the net effect on
+        working/dirty/pending/touched state, on DeviceStats and on the
+        event index (two per word) is provably the same (the
         just-stored line is always dirty, so the flush always queues
-        exactly that one line). The fused call validates *before*
-        mutating, so on a bad word we fall through to the per-element
-        loop to reproduce exact partial-application semantics: same
-        prefix applied, same counters, same exception — an observer
-        attached after the failure reads the identical device state
-        either way.
+        exactly that one line), and a tracer gets the two-step segments,
+        ``io_cached(8)`` then ``io_flush(1)``, per word. The fused call
+        validates *before* mutating, so on a bad word we fall through to
+        the per-element loop to reproduce exact partial-application
+        semantics: same prefix applied, same counters, same tracer
+        segments, same exception — an observer attached after the
+        failure reads the identical device state either way.
         """
-        if self.crash_plan is not None or self.tracer is not None or self.observers:
+        if self.crash_plan is not None or self.observers:
             for offset, value in words:
                 self.atomic_store_u64(offset, value)
                 self.flush(offset, 8)
@@ -291,20 +307,35 @@ class NvmDevice:
         stats.flushed_lines += n
         stats.flush_calls += n
         self.event_index += 2 * n
+        tracer = self.tracer
+        if tracer is not None:
+            io_cached = tracer.io_cached
+            io_flush = tracer.io_flush
+            for _ in range(n):
+                io_cached(8)
+                io_flush(1)
 
     def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Vectorized clwb of (offset, length) ranges."""
+        """Vectorized clwb of (offset, length) ranges.
+
+        Same bulk structure as :meth:`store_v`; a tracer gets one
+        ``io_flush`` per range with that range's line count.
+        """
         crash_plan = self.crash_plan
         buffer = self.buffer
         stats = self.stats
         tracer = self.tracer
         observers = self.observers
-        if crash_plan is None and tracer is None and not observers:
-            lines, redundant = buffer.flush_v(ranges)
-            stats.flushed_lines += lines
+        if crash_plan is None and not observers:
+            counts = buffer.flush_v(ranges)
+            stats.flushed_lines += sum(counts)
             stats.flush_calls += len(ranges)
-            stats.redundant_flushes += redundant
+            stats.redundant_flushes += counts.count(0)
             self.event_index += len(ranges)
+            if tracer is not None:
+                io_flush = tracer.io_flush
+                for nlines in counts:
+                    io_flush(nlines)
             return
         lines = 0
         calls = 0

@@ -5,6 +5,11 @@ The bulk buffer paths (ISSUE 7) must be *invisible*: identical
 observer event sequences, identical buffer state — including when a crash plan
 fires mid-batch — and identical crash-image candidate order, so seeded
 ``choose_persist_words`` draws the same subset on either core.
+
+A tracer does not force the per-element loop (only an observer or an
+armed crash plan does), so ``TestRecorderBulkParity`` runs a real
+:class:`TraceRecorder` on the bulk path against one whose device has a
+no-op observer attached, including batches that fail mid-way.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CrashRequested, OutOfRangeError
+from repro.errors import CrashRequested, OutOfRangeError, TornWriteError
 from repro.nvm.crash import CrashPlan
-from repro.nvm.device import NvmDevice
+from repro.nvm.device import DeviceObserver, NvmDevice
+from repro.nvm.timing import OptaneTiming
+from repro.sim.trace import TraceRecorder
 from tests.conftest import RecordingObserver
 
 SIZE = 1 << 18
@@ -65,6 +72,17 @@ ops_strategy = st.lists(
                 max_size=5,
             ),
         ),
+        st.tuples(
+            st.just("store_word_v"),
+            st.lists(
+                st.tuples(
+                    st.integers(0, SIZE // 8 - 1).map(lambda word: word * 8),
+                    st.integers(0, (1 << 64) - 1),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
         st.tuples(st.just("fence"), st.just([])),
     ),
     min_size=1,
@@ -85,6 +103,8 @@ def apply_batched(device, ops):
             device.nt_store_v([(off, payload_for(off, ln, i)) for off, ln in items])
         elif kind == "flush_v":
             device.flush_v(items)
+        elif kind == "store_word_v":
+            device.store_word_v(items)
         else:
             device.fence()
 
@@ -100,6 +120,10 @@ def apply_op_by_op(device, ops):
         elif kind == "flush_v":
             for off, ln in items:
                 device.flush(off, ln)
+        elif kind == "store_word_v":
+            for off, value in items:
+                device.atomic_store_u64(off, value)
+                device.flush(off, 8)
         else:
             device.fence()
 
@@ -210,3 +234,81 @@ class TestBulkErrorParity:
             reference.nt_store(*writes[1])
         assert full_stats(batched) == full_stats(reference)
         assert buffer_state(batched) == buffer_state(reference)
+
+
+def traced_pair(enabled):
+    """A device whose recorder rides the bulk path, and a reference whose
+    no-op observer forces the per-element loop under the same recorder."""
+    devices = []
+    for observed in (False, True):
+        device = NvmDevice(SIZE)
+        device.tracer = TraceRecorder(OptaneTiming())
+        device.tracer.enabled = enabled
+        if observed:
+            device.observers.append(DeviceObserver())
+        devices.append(device)
+    return devices
+
+
+def traced_state(device):
+    recorder = device.tracer
+    return (
+        recorder.take_completed(),
+        recorder.clock_ns,
+        full_stats(device),
+        device.event_index,
+        buffer_state(device),
+    )
+
+
+def apply_batched_in_ops(device, ops):
+    """:func:`apply_batched`, one recorder op per batch."""
+    for i, op in enumerate(ops):
+        device.tracer.begin_op(f"{op[0]}-{i}")
+        apply_batched(device, [op])
+        device.tracer.end_op()
+
+
+#: (offset, data) pairs whose third element runs past the device end
+BAD_THIRD_STORE = [(0, b"a" * 64), (128, b"b" * 70), (SIZE - 8, b"c" * 64), (512, b"d")]
+
+
+class TestRecorderBulkParity:
+    @pytest.mark.parametrize("enabled", [True, False])
+    @given(ops=ops_strategy)
+    @settings(max_examples=40, deadline=None)
+    def test_recorder_on_bulk_path_matches_per_element(self, enabled, ops):
+        bulk, reference = traced_pair(enabled)
+        apply_batched_in_ops(bulk, ops)
+        apply_batched_in_ops(reference, ops)
+        assert traced_state(bulk) == traced_state(reference)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "kind, items, exc, prefix_segments",
+        [
+            ("store_v", BAD_THIRD_STORE, OutOfRangeError, 2),
+            ("nt_store_v", BAD_THIRD_STORE, OutOfRangeError, 2),
+            ("store_word_v", [(0, 1), (64, 2), (130, 3), (192, 4)], TornWriteError, 4),
+            ("store_word_v", [(0, 1), (SIZE - 8, 2), (SIZE, 3), (64, 4)], OutOfRangeError, 4),
+        ],
+    )
+    def test_mid_batch_error_matches_per_element(self, enabled, kind, items, exc, prefix_segments):
+        """A bad element mid-batch: same exception, same prefix segments
+        and the same end state, with a recorder on the bulk path."""
+        bulk, reference = traced_pair(enabled)
+        errors = []
+        for device in (bulk, reference):
+            device.store(4096, b"p" * 64)  # an earlier segment and a dirty line
+            device.tracer.begin_op("failing")
+            with pytest.raises(exc) as raised:
+                getattr(device, kind)(items)
+            device.tracer.end_op()
+            errors.append(str(raised.value))
+            device.flush_v([(4096, 64), (0, 256)])
+            device.fence()
+        assert errors[0] == errors[1]
+        state = traced_state(bulk)
+        assert state == traced_state(reference)
+        failing = next(trace for trace in state[0] if trace.name == "failing")
+        assert len(failing.segments) == (prefix_segments if enabled else 0)

@@ -1,10 +1,11 @@
 """Bulk fast-path gate audit (ISSUE 8): observers attached mid-run.
 
-The PR-7 ``_v`` entry points take a bulk buffer path only when no crash
-plan, tracer, or device observer is attached.  The gating contract is that
-the bulk path leaves *identical device state* behind, so an observer
-attached between batched ops — mid-run — sees an event/trace stream
-that could not distinguish which path the earlier ops took.
+The ``_v`` entry points take a bulk buffer path only when no crash plan
+is armed and no device observer is attached (a tracer is fed per element
+after the bulk call).  The gating contract is that the bulk path leaves
+*identical device state* behind, so an observer attached between batched
+ops — mid-run — sees an event/trace stream that could not distinguish
+which path the earlier ops took.
 
 Two suites:
 
@@ -12,7 +13,8 @@ Two suites:
   recording observer (and tracer) at an arbitrary point, and assert the
   post-attach indexed event stream, DeviceStats, unfenced-word candidates, and
   seeded crash image all match a device that ran the exact per-element
-  loop throughout (forced by a null tracer).
+  loop throughout (forced by a no-op ``DeviceObserver``; a tracer alone
+  keeps the bulk path).
 - error-path parity (the bug this issue fixed): a ``store_word_v``
   batch failing mid-way used to leave the applied prefix *uncounted* in
   ``DeviceStats`` on the fused path — the per-element loop counts it —
@@ -32,29 +34,10 @@ import random
 import pytest
 
 from repro.errors import OutOfRangeError, TornWriteError
-from repro.nvm.device import NvmDevice
+from repro.nvm.device import DeviceObserver, NvmDevice
 from tests.conftest import RecordingObserver
 
 SIZE = 1 << 16
-
-
-class NullTracer:
-    """Forces the per-element loop without recording anything."""
-
-    def io_cached(self, n):
-        pass
-
-    def io_write(self, n):
-        pass
-
-    def io_read(self, n):
-        pass
-
-    def io_flush(self, n):
-        pass
-
-    def io_fence(self):
-        pass
 
 
 def _gen_ops(rng, n):
@@ -120,7 +103,7 @@ def test_midrun_tap_attach_event_parity(seed):
 
     bulk = NvmDevice(SIZE)  # bulk fast path until attach
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()  # per-element loop throughout
+    slow.observers.append(DeviceObserver())  # per-element loop throughout
     observers = (RecordingObserver(), RecordingObserver())
 
     for i, op in enumerate(ops):
@@ -176,7 +159,7 @@ def test_store_word_v_error_path_parity(words, exc):
     counters depending on the pre-attach path."""
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()
+    slow.observers.append(DeviceObserver())
 
     for device in (bulk, slow):
         with pytest.raises(exc):
@@ -205,7 +188,7 @@ def test_store_v_error_path_parity(vec):
     writes = [(0, b"x" * 16), (4096, b"y" * 16), (SIZE - 4, b"z" * 16), (8192, b"w" * 8)]
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
-    slow.tracer = NullTracer()
+    slow.observers.append(DeviceObserver())
     for device in (bulk, slow):
         with pytest.raises(OutOfRangeError):
             getattr(device, vec)(writes)

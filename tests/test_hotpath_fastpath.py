@@ -115,8 +115,8 @@ def _run_sequence(fast_path: bool, detach_tracer: bool):
 def test_fast_and_slow_planner_differential(detach_tracer):
     """Same randomized sequence through both planners: identical device
     images AND identical DeviceStats (write amplification unchanged) —
-    with the tracer attached (exact per-op fallback) and detached
-    (fused batched path)."""
+    with the recorder attached as the device tracer and detached. Both
+    take the bulk device paths; the recorder is fed per element."""
     fast = _run_sequence(True, detach_tracer)
     slow = _run_sequence(False, detach_tracer)
     assert fast[0] == slow[0]  # working image
