@@ -9,52 +9,24 @@ pipeline, zero-copy coarse planning. The reference numbers in
 results the pre-rebuild tree committed to ``BENCH_hotpath.json``; the
 acceptance bar is **2x on 2 MB blocks** with no small-block regression.
 
-Identical harness to the hotpath suite (same file size, cases, seeds,
-pass count), so the two JSON exports are directly comparable.
+The harness is the hotpath suite's own (``_bench`` and its file size,
+cases, seeds and pass count, imported from there), so the two JSON
+exports are directly comparable.
 """
 
 from __future__ import annotations
 
 import json
-import random
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.core import MgspConfig, MgspFilesystem
-from repro.sim.trace import NullRecorder
+from benchmarks.test_wallclock_hotpath import CASES, FSIZE, PASSES, _bench
 
-FSIZE = 16 << 20
-CASES = ((64, 3000), (4096, 2000), (2 << 20, 100))  # (block size, ops)
-PASSES = 3  # timed passes per case; best one is reported
 LARGE_KEYS = ("seq_2097152", "rand_2097152")
 
 REFERENCE_PATH = Path(__file__).parent / "baselines" / "devicecore_reference.json"
 EXPORT_PATH = Path(__file__).parent.parent / "BENCH_devicecore.json"
-
-
-def _bench(bs: int, seq: bool, nops: int) -> float:
-    config = MgspConfig(leaf_fast_path=True)
-    fs = MgspFilesystem(device_size=max(64 << 20, FSIZE * 4), config=config)
-    fs.recorder = NullRecorder()
-    fs.device.tracer = None
-    handle = fs.create("b", capacity=FSIZE)
-    fs.device.drain()
-    blocks = FSIZE // bs
-    if seq:
-        offs = [(i % blocks) * bs for i in range(nops)]
-    else:
-        rng = random.Random(7)
-        offs = [rng.randrange(blocks) * bs for _ in range(nops)]
-    payload = b"\xab" * bs
-    best = float("inf")
-    for _ in range(PASSES):
-        t0 = time.perf_counter()
-        for off in offs:
-            handle.write(off, payload)
-        best = min(best, time.perf_counter() - t0)
-    return nops / best
 
 
 def run_experiment() -> dict:
@@ -63,7 +35,7 @@ def run_experiment() -> dict:
     for bs, nops in CASES:
         for seq in (True, False):
             key = f"{'seq' if seq else 'rand'}_{bs}"
-            results[key] = round(_bench(bs, seq, nops), 1)
+            results[key] = round(_bench(bs, seq, nops, fast_path=True), 1)
     from repro.bench.provenance import provenance
 
     return {

@@ -8,10 +8,10 @@ not yet provably reached durability::
                          via = 0, or the line of the except-handler the
                                token's path crossed
 
-``dirty``  = stored but not flushed (cached ``store`` / ``store_v`` /
+``dirty``  = stored but not flushed (cached ``store`` /
 ``atomic_store_u64``); ``pending`` = flushed but not fenced (the
-``nt_store*`` family and ``store_word_v``). ``flush``/``flush_v``
-promote dirty tokens to pending; ``fence`` retires pending tokens;
+``nt_store*`` family and ``store_word_v``). ``flush`` promotes dirty
+tokens to pending; ``fence`` retires pending tokens;
 ``persist``/``drain`` retire everything. Handler-entry nodes retag
 tokens with the handler's line, which is what separates "store still
 outstanding on the normal path" from "store outstanding only because an
@@ -70,15 +70,14 @@ PROTOCOL_PREFIXES = ("repro/core", "repro/nvm", "repro/fs", "repro/fsapi", "repr
 #: receiver names that denote the simulated NVM device / store buffer
 DEVICE_RECEIVERS = {"device", "dev", "buffer", "buf", "nvm"}
 
-DIRTY_STORES = {"store", "store_v", "atomic_store_u64"}
+DIRTY_STORES = {"store", "atomic_store_u64"}
 PENDING_STORES = {
     "nt_store",
     "nt_store_v",
-    "nt_store_word",
     "nt_store_words",
     "store_word_v",
 }
-FLUSHES = {"flush", "flush_v"}
+FLUSHES = {"flush"}
 FENCES = {"fence"}
 CLEAR_ALL = {"persist", "drain"}
 

@@ -80,8 +80,8 @@ REPLAYABLE_PREFIXES: Tuple[str, ...] = (
     "repro/service",
 )
 
-_STORE_METHODS = frozenset({"store", "nt_store", "store_v", "nt_store_v"})
-_NT_METHODS = frozenset({"nt_store", "nt_store_v", "nt_store_word", "nt_store_words", "store_word_v"})
+_STORE_METHODS = frozenset({"store", "nt_store", "nt_store_v"})
+_NT_METHODS = frozenset({"nt_store", "nt_store_v", "nt_store_words", "store_word_v"})
 _FENCE_METHODS = frozenset({"fence", "persist", "drain"})
 _DEVICE_NAMES = frozenset({"device", "buffer", "dev"})
 _TIME_FUNCS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"})

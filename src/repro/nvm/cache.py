@@ -221,30 +221,6 @@ class StoreBuffer:
         self._touched_log.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
         self._uw_cache = None
 
-    def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> int:
-        """Bulk :meth:`store`: identical per-element state transitions,
-        shared attribute lookups. Validates every element up front and
-        raises before mutating anything, so a caller can fall back to
-        the per-element path for exact partial-application semantics.
-        Returns total bytes stored."""
-        size = self.size
-        for offset, data in writes:
-            if offset < 0 or offset + len(data) > size:
-                end = offset + len(data)
-                raise OutOfRangeError(f"store [{offset}, {end}) outside device of {size}")
-        working = self._working
-        dirty = self.dirty
-        tlog = self._touched_log
-        total = 0
-        for offset, data in writes:
-            end = offset + len(data)
-            working[offset:end] = data
-            dirty.add(offset & _LINE_MASK, (end + _LINE - 1) & _LINE_MASK)
-            tlog.append((offset & _WORD_MASK, (end + ATOMIC_UNIT - 1) & _WORD_MASK))
-            total += end - offset
-        self._uw_cache = None
-        return total
-
     def nt_store(self, offset: int, data) -> int:
         """Fused store + flush of exactly the stored range (non-temporal
         store). Equivalent to ``store`` followed by ``flush`` over the
@@ -266,8 +242,11 @@ class StoreBuffer:
         return (aend - start) >> _LINE_SHIFT
 
     def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> Tuple[int, int]:
-        """Bulk :meth:`nt_store`; validates up front (see
-        :meth:`store_v`). Returns (total bytes, total lines queued)."""
+        """Bulk :meth:`nt_store`: identical per-element state
+        transitions, shared attribute lookups. Validates every element
+        up front and raises before mutating anything, so a caller can
+        fall back to the per-element path for exact partial-application
+        semantics. Returns (total bytes, total lines queued)."""
         size = self.size
         for offset, data in writes:
             if offset < 0 or offset + len(data) > size:
@@ -294,27 +273,11 @@ class StoreBuffer:
         self._uw_cache = None
         return total, lines
 
-    def nt_store_word(self, offset: int, value: int) -> None:
-        """:meth:`nt_store` specialized for one aligned 8-byte word (the
-        metadata-commit pattern): same state transitions, one line."""
-        if offset % ATOMIC_UNIT != 0:
-            raise TornWriteError(f"atomic store at unaligned offset {offset}")
-        if offset < 0 or offset + 8 > self.size:
-            raise OutOfRangeError(f"store at {offset} outside device of {self.size}")
-        self._working[offset : offset + 8] = value.to_bytes(8, "little")
-        line = offset & _LINE_MASK
-        if self.dirty:
-            self.dirty.remove(line, line + _LINE)
-        self._pending_log.append((line, line + _LINE))
-        self._touched_log.append((offset, offset + 8))
-        self._uw_cache = None
-
     def nt_store_words(self, words) -> None:
-        """Batch of :meth:`nt_store_word` calls: identical per-word state
-        transitions, shared attribute lookups across the batch. Validates
-        every word up front and raises before mutating anything (see
-        :meth:`store_v`), so a caller can fall back to the per-element
-        path for exact partial-application semantics."""
+        """Bulk :meth:`nt_store` of aligned 8-byte (offset, value) words
+        (the metadata-commit pattern): each word queues its one line.
+        Validates every word up front and raises before mutating
+        anything (see :meth:`nt_store_v`)."""
         working = self._working
         size = self.size
         for offset, _value in words:
@@ -370,28 +333,6 @@ class StoreBuffer:
         if nlines:
             self.dirty.remove(start, end)
         return nlines
-
-    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> List[int]:
-        """Bulk :meth:`flush`; returns the lines each range queued, in
-        order (0 for a redundant call, whose covered lines were all
-        already clean)."""
-        counts = []
-        dirty = self.dirty
-        plog = self._pending_log
-        for offset, length in ranges:
-            if not dirty:
-                counts.append(0)
-                continue
-            start = offset & _LINE_MASK
-            end = (offset + length + _LINE - 1) & _LINE_MASK
-            nlines = 0
-            for s, e in dirty.iter_intersect(start, end):
-                plog.append((s, e))
-                nlines += (e - s) >> _LINE_SHIFT
-            if nlines:
-                dirty.remove(start, end)
-            counts.append(nlines)
-        return counts
 
     def _make_durable(self, runs: Iterable[Tuple[int, int]]) -> None:
         """Copy the working bytes of each [start, end) run into the

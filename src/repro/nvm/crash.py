@@ -9,9 +9,10 @@ compose a crash image, and run recovery against it.
 is exact: it is derived from the same per-call counters the plan's
 ``on_event`` hook fires in (``stores``/``flush_calls``/``fences``), so a
 sweep over ``crash_after in range(count_events(...))`` visits every
-event once — including the events emitted per element inside the
-vectorized ``store_v``/``nt_store_v``/``flush_v``/``store_word_v``
-device entry points.
+event once — including the events emitted per element inside the two
+batched device entry points, ``nt_store_v`` and ``store_word_v``: with
+a plan armed, each runs as a loop of its single-op primitives
+(``nt_store``, or ``atomic_store_u64`` + ``flush``).
 
 :func:`compose_image` turns a crashed device plus a :class:`CrashPolicy`
 into a concrete post-crash image. ``RANDOM`` composition is driven by an

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import OutOfRangeError, TornWriteError
 from repro.nvm.cache import StoreBuffer
 from repro.nvm.crash import CrashPlan
 from repro.nvm.timing import OptaneTiming, TimingModel
-from repro.util import CACHE_LINE
 
 
 @dataclass
@@ -43,15 +42,7 @@ class DeviceStats:
 
     def delta(self, since: "DeviceStats") -> "DeviceStats":
         return DeviceStats(
-            stored_bytes=self.stored_bytes - since.stored_bytes,
-            loaded_bytes=self.loaded_bytes - since.loaded_bytes,
-            flushed_lines=self.flushed_lines - since.flushed_lines,
-            flush_calls=self.flush_calls - since.flush_calls,
-            fences=self.fences - since.fences,
-            stores=self.stores - since.stores,
-            loads=self.loads - since.loads,
-            redundant_flushes=self.redundant_flushes - since.redundant_flushes,
-            redundant_fences=self.redundant_fences - since.redundant_fences,
+            **{f.name: getattr(self, f.name) - getattr(since, f.name) for f in fields(self)}
         )
 
 
@@ -161,203 +152,92 @@ class NvmDevice:
 
     # -- scatter-gather entry points ---------------------------------------
     #
-    # One Python call issues a whole interval list. Accounting stays per
-    # logical op: every element still counts one store (and one event
-    # index, one crash-plan event, and one tracer segment), so
-    # DeviceStats, trace costs, and crash-point enumeration are
-    # byte-for-byte identical to a loop of single-op calls — the batching
-    # only removes interpreter overhead. The bulk buffer path is taken
-    # whenever no crash plan is armed and no observer is attached: both
-    # act per event, between elements. A tracer only prices segments,
-    # so on the bulk path it is fed the same per-element calls, in the
-    # same order, after the buffer call succeeds. Batch totals on the
-    # per-element loop are committed in ``finally`` blocks so that a
-    # CrashRequested fired *inside* a batch leaves the counters exactly
-    # where the equivalent unbatched sequence would.
+    # MGSP batches two things: non-temporal data stores into its logs
+    # (nt_store_v) and 8-byte metadata commits (store_word_v). One Python
+    # call issues the whole list, but accounting stays per logical op:
+    # every element counts exactly what the equivalent loop of single-op
+    # calls would (stats, event indices, crash-plan events, tracer
+    # segments), so the batching only removes interpreter overhead. Each
+    # batch has two branches. With no crash plan armed and no observer
+    # attached (both act per event, between elements) it makes one bulk
+    # buffer call and then feeds a tracer the per-element segments in
+    # order; a tracer only prices segments. Otherwise, and whenever the
+    # bulk call rejects an element, it runs the single-op loop itself,
+    # the one reference path: a crash fired inside the batch, or a bad
+    # element, leaves the device exactly where the unbatched sequence
+    # would.
 
-    def store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
-        """Vectorized cached store of (offset, data) pairs.
+    def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
+        """Vectorized :meth:`nt_store` of (offset, data) pairs.
 
-        With no crash plan or observer attached, the whole batch is one
-        bulk buffer call (identical per-element state transitions, no
-        per-element Python dispatch), and a tracer then gets one
-        ``io_cached`` per element. The bulk path validates *before*
-        mutating, so on a bad element we fall through to the per-element
-        loop to reproduce exact partial-application semantics: same
+        With no crash plan or observer attached the whole batch is one
+        bulk buffer call, and a tracer then gets one ``io_write`` per
+        element. The bulk call validates *before* mutating, so on a bad
+        element we fall through to the :meth:`nt_store` loop: same
         prefix applied, same counters, same tracer segments, same
         exception.
         """
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        observers = self.observers
-        if crash_plan is None and not observers:
-            try:
-                total = buffer.store_v(writes)
-            except OutOfRangeError:
-                pass  # replay per-element below for exact partial state
-            else:
-                stats.stores += len(writes)
-                stats.stored_bytes += total
-                self.event_index += len(writes)
-                if tracer is not None:
-                    io_cached = tracer.io_cached
-                    for _offset, data in writes:
-                        io_cached(len(data))
-                return
-        total = 0
-        try:
-            for offset, data in writes:
-                if crash_plan is not None:
-                    crash_plan.on_event("store")
-                buffer.store(offset, data)
-                stats.stores += 1
-                total += len(data)
-                self.event_index += 1
-                if tracer is not None:
-                    tracer.io_cached(len(data))
-                if observers:
-                    self._publish("store", offset, len(data), "store")
-        finally:
-            stats.stored_bytes += total
-
-    def nt_store_v(self, writes: Sequence[Tuple[int, bytes]]) -> None:
-        """Vectorized non-temporal store of (offset, data) pairs.
-
-        Same bulk/fallback structure as :meth:`store_v`; a tracer gets
-        one ``io_write`` per element.
-        """
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        observers = self.observers
-        if crash_plan is None and not observers:
+        if self.crash_plan is None and not self.observers:
             try:
                 # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-                total, lines = buffer.nt_store_v(writes)
+                total, lines = self.buffer.nt_store_v(writes)
             except OutOfRangeError:
                 pass  # replay per-element below for exact partial state
             else:
+                stats = self.stats
                 stats.stores += len(writes)
                 stats.stored_bytes += total
                 stats.flushed_lines += lines
                 self.event_index += len(writes)
+                tracer = self.tracer
                 if tracer is not None:
                     io_write = tracer.io_write
                     for _offset, data in writes:
                         io_write(len(data))
                 return
-        total = 0
-        lines = 0
-        try:
-            for offset, data in writes:
-                if crash_plan is not None:
-                    crash_plan.on_event("store")
-                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-                lines += buffer.nt_store(offset, data)
-                stats.stores += 1
-                total += len(data)
-                self.event_index += 1
-                if tracer is not None:
-                    tracer.io_write(len(data))
-                if observers:
-                    self._publish("store", offset, len(data), "nt")
-        finally:
-            stats.stored_bytes += total
-            stats.flushed_lines += lines
+        for offset, data in writes:
+            self.nt_store(offset, data)
 
     def store_word_v(self, words: Sequence[Tuple[int, int]]) -> None:
         """Vectorized ``atomic_store_u64 + flush`` of (offset, value)
         pairs — the metadata-word commit pattern.
 
-        With a crash plan or observer attached this delegates to the
-        exact two-step primitives so crash-event enumeration and
-        published events stay byte-identical. Otherwise the pair is
-        fused through the buffer's non-temporal store: the net effect on
+        With no crash plan or observer attached the pair is fused
+        through the buffer's non-temporal word store: the net effect on
         working/dirty/pending/touched state, on DeviceStats and on the
         event index (two per word) is provably the same (the
         just-stored line is always dirty, so the flush always queues
         exactly that one line), and a tracer gets the two-step segments,
         ``io_cached(8)`` then ``io_flush(1)``, per word. The fused call
         validates *before* mutating, so on a bad word we fall through to
-        the per-element loop to reproduce exact partial-application
-        semantics: same prefix applied, same counters, same tracer
-        segments, same exception — an observer attached after the
-        failure reads the identical device state either way.
+        the two-step loop: same prefix applied, same counters, same
+        tracer segments, same exception.
         """
-        if self.crash_plan is not None or self.observers:
-            for offset, value in words:
-                self.atomic_store_u64(offset, value)
-                self.flush(offset, 8)
-            return
-        n = len(words)
-        try:
-            # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
-            self.buffer.nt_store_words(words)
-        except (TornWriteError, OutOfRangeError):
-            for offset, value in words:  # replay per-element for exact partial state
-                self.atomic_store_u64(offset, value)
-                self.flush(offset, 8)
-            return
-        stats = self.stats
-        stats.stores += n
-        stats.stored_bytes += 8 * n
-        stats.flushed_lines += n
-        stats.flush_calls += n
-        self.event_index += 2 * n
-        tracer = self.tracer
-        if tracer is not None:
-            io_cached = tracer.io_cached
-            io_flush = tracer.io_flush
-            for _ in range(n):
-                io_cached(8)
-                io_flush(1)
-
-    def flush_v(self, ranges: Sequence[Tuple[int, int]]) -> None:
-        """Vectorized clwb of (offset, length) ranges.
-
-        Same bulk structure as :meth:`store_v`; a tracer gets one
-        ``io_flush`` per range with that range's line count.
-        """
-        crash_plan = self.crash_plan
-        buffer = self.buffer
-        stats = self.stats
-        tracer = self.tracer
-        observers = self.observers
-        if crash_plan is None and not observers:
-            counts = buffer.flush_v(ranges)
-            stats.flushed_lines += sum(counts)
-            stats.flush_calls += len(ranges)
-            stats.redundant_flushes += counts.count(0)
-            self.event_index += len(ranges)
-            if tracer is not None:
-                io_flush = tracer.io_flush
-                for nlines in counts:
-                    io_flush(nlines)
-            return
-        lines = 0
-        calls = 0
-        redundant = 0
-        try:
-            for offset, length in ranges:
-                if crash_plan is not None:
-                    crash_plan.on_event("flush")
-                nlines = buffer.flush(offset, length)
-                lines += nlines
-                calls += 1
-                if nlines == 0:
-                    redundant += 1
-                self.event_index += 1
+        if self.crash_plan is None and not self.observers:
+            try:
+                # analysis: allow(unfenced-nt-store) -- this *is* the primitive; ordering is the caller's contract
+                self.buffer.nt_store_words(words)
+            except (TornWriteError, OutOfRangeError):
+                pass  # replay per-element below for exact partial state
+            else:
+                n = len(words)
+                stats = self.stats
+                stats.stores += n
+                stats.stored_bytes += 8 * n
+                stats.flushed_lines += n
+                stats.flush_calls += n
+                self.event_index += 2 * n
+                tracer = self.tracer
                 if tracer is not None:
-                    tracer.io_flush(nlines)
-                if observers:
-                    self._publish("flush", offset, length, nlines)
-        finally:
-            stats.flushed_lines += lines
-            stats.flush_calls += calls
-            stats.redundant_flushes += redundant
+                    io_cached = tracer.io_cached
+                    io_flush = tracer.io_flush
+                    for _ in range(n):
+                        io_cached(8)
+                        io_flush(1)
+                return
+        for offset, value in words:
+            self.atomic_store_u64(offset, value)
+            self.flush(offset, 8)
 
     def atomic_store_u64(self, offset: int, value: int) -> None:
         if self.crash_plan is not None:
@@ -448,9 +328,6 @@ class NvmDevice:
         return cls(buffer.size, timing=timing, name=name, buffer=buffer)
 
     # -- derived accounting --------------------------------------------------
-
-    def line_of(self, offset: int) -> int:
-        return offset // CACHE_LINE
 
     def write_amplification(self, api_bytes: int, since: Optional[DeviceStats] = None) -> float:
         """Device bytes written / API bytes, optionally since a snapshot."""

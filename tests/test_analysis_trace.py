@@ -185,8 +185,10 @@ def test_event_indices_match_crash_sweep_enumeration():
     base = d.stats.snapshot()
     d.store(ctx.data_off, b"a" * 130)  # 1 store event
     d.persist(ctx.data_off, 130)  # 1 flush call + 1 fence
-    d.store_v(((ctx.data_off, b"b" * 64), (ctx.data_off + 64, b"c" * 64)))  # 2
-    d.flush_v(((ctx.data_off, 64), (ctx.data_off + 64, 64)))  # 2
+    d.store(ctx.data_off, b"b" * 64)  # 1
+    d.store(ctx.data_off + 64, b"c" * 64)  # 1
+    d.flush(ctx.data_off, 64)  # 1
+    d.flush(ctx.data_off + 64, 64)  # 1
     d.fence()  # 1
     assert d.event_index == count_events(d, since=base) == 8
 

@@ -40,23 +40,17 @@ class TestFlushCallCounting:
         assert device.stats.flush_calls == before + 1
         assert device.stats.flushed_lines == 1  # unchanged from persist
 
-    def test_flush_v_counts_per_element(self):
-        device = NvmDevice(SIZE)
-        device.store(0, b"x" * 64)
-        device.store(4096, b"y" * 64)
-        device.flush_v([(0, 64), (4096, 64), (8192, 64)])  # last range clean
-        assert device.stats.flush_calls == 3
-        assert device.stats.flushed_lines == 2
-
 
 def run_ops(device):
-    """A mixed single-op + vectorized op stream touching every entry
-    point that emits crash-plan events."""
+    """A mixed single-op + batched op stream touching every entry point
+    that emits crash-plan events."""
     device.store(0, b"a" * 100)
     device.flush(0, 100)
     device.fence()
-    device.store_v([(256, b"b" * 64), (512, b"c" * 32), (1024, b"d" * 200)])
-    device.flush_v([(256, 64), (512, 32), (1024, 200)])
+    for offset, data in [(256, b"b" * 64), (512, b"c" * 32), (1024, b"d" * 200)]:
+        device.store(offset, data)
+    for offset, length in [(256, 64), (512, 32), (1024, 200)]:
+        device.flush(offset, length)
     device.fence()
     device.nt_store_v([(4096, b"e" * 96), (8192, b"f" * 8)])
     device.fence()
@@ -131,7 +125,6 @@ def batched_vs_unbatched(batched_ops, unbatched_ops, crash_after):
 
 WRITES = [(256, b"b" * 64), (512, b"c" * 32), (1024, b"d" * 200), (4096, b"e" * 8)]
 WORDS = [(16384, 7), (16392, 9), (16400, 11)]
-RANGES = [(256, 64), (512, 32), (1024, 200)]
 
 
 class TestPartialBatchEquivalence:
@@ -147,16 +140,6 @@ class TestPartialBatchEquivalence:
         assert batched.unfenced_words() == unbatched.unfenced_words()
 
     @pytest.mark.parametrize("crash_after", range(len(WRITES) + 1))
-    def test_store_v(self, crash_after):
-        self.assert_same(
-            batched_vs_unbatched(
-                lambda d: d.store_v(WRITES),
-                lambda d: [d.store(o, p) for o, p in WRITES],
-                crash_after,
-            )
-        )
-
-    @pytest.mark.parametrize("crash_after", range(len(WRITES) + 1))
     def test_nt_store_v(self, crash_after):
         self.assert_same(
             batched_vs_unbatched(
@@ -164,22 +147,6 @@ class TestPartialBatchEquivalence:
                 lambda d: [d.nt_store(o, p) for o, p in WRITES],
                 crash_after,
             )
-        )
-
-    @pytest.mark.parametrize("crash_after", range(len(RANGES) + 1))
-    def test_flush_v(self, crash_after):
-        def setup_then_flush_v(d):
-            d.store_v(WRITES[:3])
-            d.flush_v(RANGES)
-
-        def setup_then_flush_loop(d):
-            for o, p in WRITES[:3]:
-                d.store(o, p)
-            for o, ln in RANGES:
-                d.flush(o, ln)
-
-        self.assert_same(
-            batched_vs_unbatched(setup_then_flush_v, setup_then_flush_loop, 3 + crash_after)
         )
 
     @pytest.mark.parametrize("crash_after", range(2 * len(WORDS) + 1))

@@ -44,12 +44,14 @@ def buffer_state(device):
     )
 
 
-# Op batches: each entry is (kind, payload list) applied via one _v call
-# on the batched device and an op-by-op loop on the reference device.
+# Op batches: each entry is (kind, payload list). The two batched kinds
+# are applied via one _v call on the batched device and an op-by-op loop
+# on the reference device; cached stores and flushes (which leave dirty
+# lines for the batches to meet) are single-op calls on both.
 ops_strategy = st.lists(
     st.one_of(
         st.tuples(
-            st.just("store_v"),
+            st.just("store"),
             st.lists(
                 st.tuples(st.integers(0, SIZE - 256), st.integers(1, 200)),
                 min_size=1,
@@ -65,7 +67,7 @@ ops_strategy = st.lists(
             ),
         ),
         st.tuples(
-            st.just("flush_v"),
+            st.just("flush"),
             st.lists(
                 st.tuples(st.integers(0, SIZE - 256), st.integers(1, 200)),
                 min_size=1,
@@ -95,37 +97,38 @@ def payload_for(offset, length, salt):
     return rng.randbytes(length)
 
 
+def apply_single(device, i, kind, items):
+    if kind == "store":
+        for off, ln in items:
+            device.store(off, payload_for(off, ln, i))
+    elif kind == "flush":
+        for off, ln in items:
+            device.flush(off, ln)
+    else:
+        device.fence()
+
+
 def apply_batched(device, ops):
     for i, (kind, items) in enumerate(ops):
-        if kind == "store_v":
-            device.store_v([(off, payload_for(off, ln, i)) for off, ln in items])
-        elif kind == "nt_store_v":
+        if kind == "nt_store_v":
             device.nt_store_v([(off, payload_for(off, ln, i)) for off, ln in items])
-        elif kind == "flush_v":
-            device.flush_v(items)
         elif kind == "store_word_v":
             device.store_word_v(items)
         else:
-            device.fence()
+            apply_single(device, i, kind, items)
 
 
 def apply_op_by_op(device, ops):
     for i, (kind, items) in enumerate(ops):
-        if kind == "store_v":
-            for off, ln in items:
-                device.store(off, payload_for(off, ln, i))
-        elif kind == "nt_store_v":
+        if kind == "nt_store_v":
             for off, ln in items:
                 device.nt_store(off, payload_for(off, ln, i))
-        elif kind == "flush_v":
-            for off, ln in items:
-                device.flush(off, ln)
         elif kind == "store_word_v":
             for off, value in items:
                 device.atomic_store_u64(off, value)
                 device.flush(off, 8)
         else:
-            device.fence()
+            apply_single(device, i, kind, items)
 
 
 class TestBulkPathParity:
@@ -205,37 +208,6 @@ class TestPartialBatchCrashParity:
         assert bytes(image_b) == bytes(image_r)
 
 
-class TestBulkErrorParity:
-    """A bad element mid-batch must leave the same partial state and the
-    same exception as the op-by-op loop (the bulk path validates first
-    and falls back)."""
-
-    def test_store_v_partial_application(self):
-        batched = NvmDevice(SIZE)
-        reference = NvmDevice(SIZE)
-        writes = [(0, b"a" * 64), (128, b"b" * 64), (SIZE - 8, b"c" * 64)]
-        with pytest.raises(OutOfRangeError):
-            batched.store_v(writes)
-        for off, data in writes[:2]:
-            reference.store(off, data)
-        with pytest.raises(OutOfRangeError):
-            reference.store(*writes[2])
-        assert full_stats(batched) == full_stats(reference)
-        assert buffer_state(batched) == buffer_state(reference)
-
-    def test_nt_store_v_partial_application(self):
-        batched = NvmDevice(SIZE)
-        reference = NvmDevice(SIZE)
-        writes = [(0, b"a" * 64), (SIZE - 8, b"c" * 64), (128, b"b" * 64)]
-        with pytest.raises(OutOfRangeError):
-            batched.nt_store_v(writes)
-        reference.nt_store(*writes[0])
-        with pytest.raises(OutOfRangeError):
-            reference.nt_store(*writes[1])
-        assert full_stats(batched) == full_stats(reference)
-        assert buffer_state(batched) == buffer_state(reference)
-
-
 def traced_pair(enabled):
     """A device whose recorder rides the bulk path, and a reference whose
     no-op observer forces the per-element loop under the same recorder."""
@@ -287,7 +259,6 @@ class TestRecorderBulkParity:
     @pytest.mark.parametrize(
         "kind, items, exc, prefix_segments",
         [
-            ("store_v", BAD_THIRD_STORE, OutOfRangeError, 2),
             ("nt_store_v", BAD_THIRD_STORE, OutOfRangeError, 2),
             ("store_word_v", [(0, 1), (64, 2), (130, 3), (192, 4)], TornWriteError, 4),
             ("store_word_v", [(0, 1), (SIZE - 8, 2), (SIZE, 3), (64, 4)], OutOfRangeError, 4),
@@ -305,7 +276,8 @@ class TestRecorderBulkParity:
                 getattr(device, kind)(items)
             device.tracer.end_op()
             errors.append(str(raised.value))
-            device.flush_v([(4096, 64), (0, 256)])
+            device.flush(4096, 64)
+            device.flush(0, 256)
             device.fence()
         assert errors[0] == errors[1]
         state = traced_state(bulk)

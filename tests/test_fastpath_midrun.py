@@ -1,8 +1,9 @@
 """Bulk fast-path gate audit (ISSUE 8): observers attached mid-run.
 
-The ``_v`` entry points take a bulk buffer path only when no crash plan
-is armed and no device observer is attached (a tracer is fed per element
-after the bulk call).  The gating contract is that the bulk path leaves
+The two batched entry points, ``nt_store_v`` and ``store_word_v``, take a
+bulk buffer path only when no crash plan is armed and no device observer
+is attached (a tracer is fed per element after the bulk call); otherwise
+they loop over their single-op primitives.  The gating contract is that the bulk path leaves
 *identical device state* behind, so an observer attached between batched
 ops — mid-run — sees an event/trace stream that could not distinguish
 which path the earlier ops took.
@@ -20,7 +21,8 @@ Two suites:
   ``DeviceStats`` on the fused path — the per-element loop counts it —
   so anything reading stats deltas afterwards (obs attribution, write
   amplification, bench exports) diverged based on whether an observer
-  happened to be attached.
+  happened to be attached. The same check for ``nt_store_v`` lives in
+  ``test_devicecore_parity.TestRecorderBulkParity``.
 
 The bulk path advances the device's event index by the batch's event
 count, so the indices an observer sees after a mid-run attach are the
@@ -43,10 +45,8 @@ SIZE = 1 << 16
 def _gen_ops(rng, n):
     ops = []
     for _ in range(n):
-        kind = rng.choice(
-            ["store_v", "nt_store_v", "flush_v", "store_word_v", "fence", "flush"]
-        )
-        if kind in ("store_v", "nt_store_v"):
+        kind = rng.choice(["store", "nt_store_v", "store_word_v", "fence", "flush"])
+        if kind == "nt_store_v":
             writes = [
                 (
                     rng.randrange(0, SIZE - 256),
@@ -55,16 +55,9 @@ def _gen_ops(rng, n):
                 for _ in range(rng.randint(1, 5))
             ]
             ops.append((kind, writes))
-        elif kind == "flush_v":
-            ops.append(
-                (
-                    kind,
-                    [
-                        (rng.randrange(0, SIZE - 256), rng.choice([0, 8, 64, 256]))
-                        for _ in range(rng.randint(1, 4))
-                    ],
-                )
-            )
+        elif kind == "store":
+            data = bytes([rng.randrange(256)]) * rng.choice([1, 8, 13, 64, 200])
+            ops.append((kind, (rng.randrange(0, SIZE - 256), data)))
         elif kind == "store_word_v":
             ops.append(
                 (
@@ -86,8 +79,8 @@ def _apply(device, op):
     kind, arg = op
     if kind == "fence":
         device.fence()
-    elif kind == "flush":
-        device.flush(*arg)
+    elif kind in ("store", "flush"):
+        getattr(device, kind)(*arg)
     else:
         getattr(device, kind)(arg)
 
@@ -155,7 +148,7 @@ def test_store_word_v_error_path_parity(words, exc):
     """Regression (ISSUE 8): a store_word_v batch failing mid-way must
     leave identical DeviceStats and buffer state on both paths.  The
     fused path used to apply the prefix to the medium but commit *no*
-    stats, so a tap/tracer attached after the failure read diverging
+    stats, so an observer or tracer attached after the failure read diverging
     counters depending on the pre-attach path."""
     bulk = NvmDevice(SIZE)
     slow = NvmDevice(SIZE)
@@ -179,19 +172,3 @@ def test_store_word_v_error_path_parity(words, exc):
         device.fence()
     assert observers[0].events == observers[1].events
     assert vars(bulk.stats) == vars(slow.stats)
-
-
-@pytest.mark.parametrize("vec", ["store_v", "nt_store_v"])
-def test_store_v_error_path_parity(vec):
-    """The store_v/nt_store_v validate-before-mutate fallback applies the
-    exact per-element prefix (state, stats, exception) on a bad element."""
-    writes = [(0, b"x" * 16), (4096, b"y" * 16), (SIZE - 4, b"z" * 16), (8192, b"w" * 8)]
-    bulk = NvmDevice(SIZE)
-    slow = NvmDevice(SIZE)
-    slow.observers.append(DeviceObserver())
-    for device in (bulk, slow):
-        with pytest.raises(OutOfRangeError):
-            getattr(device, vec)(writes)
-    assert vars(bulk.stats) == vars(slow.stats)
-    assert bulk.buffer.snapshot_working() == slow.buffer.snapshot_working()
-    assert bulk.unfenced_words() == slow.unfenced_words()

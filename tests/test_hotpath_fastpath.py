@@ -141,7 +141,7 @@ def test_unfenced_words_matches_full_scan():
             off = rng.randrange(0, (1 << 16) - 256)
             buf.nt_store(off, bytes([rng.randrange(256)]) * rng.choice([8, 64, 200]))
         elif op == 2:
-            buf.nt_store_word(rng.randrange(0, (1 << 16) // 8) * 8, rng.getrandbits(64))
+            buf.nt_store_words([(rng.randrange(0, (1 << 16) // 8) * 8, rng.getrandbits(64))])
         elif op == 3:
             off = rng.randrange(0, (1 << 16) - 512)
             buf.flush(off, rng.choice([8, 64, 512]))
